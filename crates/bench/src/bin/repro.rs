@@ -66,7 +66,7 @@ use hef_bench::counters::{issue_histogram, model_kernel, model_query};
 use hef_bench::measure::{kernel_input, measure_kernel, measure_query, measure_query_reported};
 use hef_bench::report::{eng, f2, TableWriter};
 use hef_core::{optimizer, space, templates, tune_measured, tune_simulated, Registry};
-use hef_engine::Flavor;
+use hef_engine::{CancelToken, Flavor, MorselSource};
 use hef_kernels::{Family, HybridConfig};
 use hef_ssb::{build_plan, generate, QueryId, SsbData};
 use hef_uarch::CpuModel;
@@ -699,7 +699,9 @@ fn tune_pipeline(opts: &Opts) {
     });
     let run = |plan: &hef_engine::StarPlan, cfg: &ExecConfig| match &paged_table {
         Some(t) => {
-            hef_engine::execute_star_paged(plan, t, cfg).expect("paged execution failed");
+            let (cache, ctx) = (hef_storage::PageCache::global(), hef_engine::QueryCtx::unbounded());
+            hef_engine::try_execute_star_paged_ctx(plan, t, cfg, cache, &ctx)
+                .expect("paged execution failed");
         }
         None => {
             execute_star(plan, &data.lineorder, cfg);
@@ -733,8 +735,9 @@ fn tune_pipeline(opts: &Opts) {
 /// bit-identical to the in-memory executor at 1 and 4 threads. The cache
 /// capacity comes from `HEF_PAGE_CACHE` when set, else 25% of the dataset's
 /// raw (decoded) bytes — small enough that eviction is constant. Exits
-/// non-zero on any divergence, and on a bounded cache that somehow never
-/// evicted (the out-of-core claim would be vacuous).
+/// non-zero on any divergence, on a bounded cache that somehow never
+/// evicted (the out-of-core claim would be vacuous), and unless the governor
+/// admitted every paged execution.
 fn paged_cmd(opts: &Opts) {
     use hef_engine::{execute_star, try_execute_star_paged_ctx, PagedTable, QueryCtx};
     use hef_storage::PageCache;
@@ -767,7 +770,9 @@ fn paged_cmd(opts: &Opts) {
         cache.capacity() as f64 / raw as f64 * 100.0
     );
 
+    use hef_obs::metrics::Metric;
     let before = hef_obs::metrics::snapshot();
+    let (mut paged_runs, mut admitted) = (0u64, 0u64);
     let mut t = TableWriter::new(vec![
         "query", "in-mem ms", "paged t1 ms", "paged t4 ms", "rows agg", "identical",
     ]);
@@ -779,6 +784,7 @@ fn paged_cmd(opts: &Opts) {
         let mut paged_ms = [0.0f64; 2];
         for (i, threads) in [1usize, 4].into_iter().enumerate() {
             let cfg = exec_config(Flavor::Hybrid).with_threads(threads);
+            let admitted_before = hef_obs::metrics::snapshot();
             let t0 = std::time::Instant::now();
             let out = try_execute_star_paged_ctx(&plan, &table, &cfg, &cache, &QueryCtx::unbounded())
                 .unwrap_or_else(|e| {
@@ -786,6 +792,9 @@ fn paged_cmd(opts: &Opts) {
                     std::process::exit(1);
                 });
             paged_ms[i] = t0.elapsed().as_secs_f64() * 1e3;
+            paged_runs += 1;
+            admitted +=
+                hef_obs::metrics::snapshot().delta(&admitted_before).get(Metric::GovAdmitted);
             if out.groups != reference.groups {
                 eprintln!(
                     "paged: {} diverged from in-memory at {threads} thread(s)",
@@ -805,7 +814,6 @@ fn paged_cmd(opts: &Opts) {
     }
     t.print();
 
-    use hef_obs::metrics::Metric;
     let d = hef_obs::metrics::snapshot().delta(&before);
     let (hits, misses, evict) = (
         d.get(Metric::PageCacheHits),
@@ -827,6 +835,11 @@ fn paged_cmd(opts: &Opts) {
     // have evicted or the bound was never exercised.
     if (cache.capacity() as u64) < disk && evict == 0 {
         eprintln!("paged: cache below compressed dataset size but never evicted — bound not exercised");
+        std::process::exit(1);
+    }
+    println!("admission: {admitted}/{paged_runs} paged executions admitted by the governor");
+    if admitted != paged_runs {
+        eprintln!("paged: the governor admitted {admitted} of {paged_runs} paged executions");
         std::process::exit(1);
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -961,35 +974,30 @@ fn flame_cmd(q: QueryId, opts: &Opts) {
     let cfg = exec_config(Flavor::Hybrid).with_threads(threads);
 
     // `--paged` profiles the out-of-core scan instead: page morsels with
-    // per-worker `decode` self-time under them, no in-memory ExecReport.
-    let (out, reconcile) = if opts.paged {
+    // per-worker `decode` self-time under them. Either way the morsel spans
+    // reconcile against the engine's ExecReport.
+    let paged = opts.paged.then(|| {
         let dir = std::env::temp_dir().join(format!("hef-flame-paged-sf{sf}"));
         std::fs::remove_dir_all(&dir).ok();
         hef_ssb::generate_paged(sf, 0x55B, &dir, hef_storage::page::rows_per_page_from_env())
             .expect("paged generation failed");
-        let table = hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open");
-        let pages = table.page_count() as u64;
-        match hef_engine::execute_star_paged(&plan, &table, &cfg) {
-            Ok(out) => (out, ("page", pages, format!("{pages} page(s)"))),
-            Err(e) => {
-                eprintln!("flame: {}: {e}", q.name());
-                std::process::exit(1);
-            }
+        hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open")
+    });
+    let source = match &paged {
+        Some(table) => MorselSource::Paged { table, cache: hef_storage::PageCache::global() },
+        None => MorselSource::Mem(&data.lineorder),
+    };
+    let (out, expected) = match hef_engine::run(&plan, source, &cfg, &CancelToken::new()) {
+        Ok((out, report)) => {
+            println!(
+                "query ran {} morsels over {} threads",
+                report.morsels_completed, report.threads
+            );
+            (out, report.morsels_completed as u64)
         }
-    } else {
-        match hef_engine::try_execute_star(&plan, &data.lineorder, &cfg) {
-            Ok((out, report)) => {
-                let n = report.morsels_completed as u64;
-                println!(
-                    "query ran {} morsels over {} threads",
-                    report.morsels_completed, report.threads
-                );
-                (out, ("morsel", n, format!("{n} morsel(s) in ExecReport")))
-            }
-            Err(e) => {
-                eprintln!("flame: {}: {e}", q.name());
-                std::process::exit(1);
-            }
+        Err(e) => {
+            eprintln!("flame: {}: {e}", q.name());
+            std::process::exit(1);
         }
     };
 
@@ -1007,18 +1015,19 @@ fn flame_cmd(q: QueryId, opts: &Opts) {
     }
     println!("\nquery: {} groups", out.groups.len());
     if own_capture {
-        let (span, expected, what) = &reconcile;
-        let profiled = tree.count_of(span);
+        let profiled = tree.count_of("morsel");
         if tree.dropped() > 0 {
             println!(
                 "profile: {} record(s) dropped (raise HEF_TRACE_BUF); skipping reconciliation",
                 tree.dropped()
             );
-        } else if profiled != *expected {
-            eprintln!("flame: profile saw {profiled} `{span}` span(s) but expected {what}");
+        } else if profiled != expected {
+            eprintln!(
+                "flame: profile saw {profiled} `morsel` span(s) but ExecReport counted {expected}"
+            );
             std::process::exit(1);
         } else {
-            println!("profile: `{span}` spans reconcile ({profiled})");
+            println!("profile: `morsel` spans reconcile ({profiled})");
         }
     }
     println!("profile: OK");

@@ -15,10 +15,8 @@ use std::time::Instant;
 use hef_storage::Table;
 
 use crate::govern::CancelToken;
-use crate::parallel::ExecError;
-use crate::star::{
-    try_execute_star_cancellable, ExecConfig, Flavor, QueryOutput, StarPlan,
-};
+use crate::parallel::{run, ExecError, MorselSource};
+use crate::star::{ExecConfig, Flavor, QueryOutput, StarPlan};
 
 /// The outcome of a sampled selection.
 #[derive(Debug, Clone)]
@@ -44,20 +42,11 @@ fn fastest(timings: &[(Flavor, f64)]) -> Flavor {
 }
 
 /// Time each flavor on the first `sample_rows` rows and return the ranking.
-/// A plan the executor rejects comes back as a typed [`ExecError`].
+/// `cancel` is checked inside every sampled pre-run, so a cancelled
+/// selection stops at the next morsel boundary with a typed
+/// [`ExecError::Cancelled`] instead of timing the remaining flavors; a plan
+/// the executor rejects comes back as a typed [`ExecError`] too.
 pub fn try_choose_flavor(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_rows: usize,
-) -> Result<Selection, ExecError> {
-    try_choose_flavor_cancellable(plan, fact, sample_rows, &CancelToken::new())
-}
-
-/// [`try_choose_flavor`] with a caller-supplied cancel token: the token is
-/// checked inside every sampled pre-run, so a cancelled selection stops at
-/// the next morsel boundary with a typed [`ExecError::Cancelled`] instead of
-/// timing the remaining flavors.
-pub fn try_choose_flavor_cancellable(
     plan: &StarPlan,
     fact: &Table,
     sample_rows: usize,
@@ -67,55 +56,29 @@ pub fn try_choose_flavor_cancellable(
     let mut timings = Vec::with_capacity(Flavor::ALL.len());
     for flavor in Flavor::ALL {
         let cfg = ExecConfig::for_flavor(flavor);
-        try_execute_star_cancellable(plan, &sample, &cfg, cancel)?; // warm-up
+        run(plan, MorselSource::Mem(&sample), &cfg, cancel)?; // warm-up
         let t = Instant::now();
-        try_execute_star_cancellable(plan, &sample, &cfg, cancel)?;
+        run(plan, MorselSource::Mem(&sample), &cfg, cancel)?;
         timings.push((flavor, t.elapsed().as_secs_f64()));
     }
     Ok(Selection { flavor: fastest(&timings), sample_secs: timings, sample_rows: sample.len() })
 }
 
-/// Panicking convenience over [`try_choose_flavor`].
-pub fn choose_flavor(plan: &StarPlan, fact: &Table, sample_rows: usize) -> Selection {
-    try_choose_flavor(plan, fact, sample_rows).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Execute `plan` with the flavor a sampled pre-run selects, returning a
-/// typed [`ExecError`] instead of panicking on a bad plan or an exhausted
-/// degradation ladder.
-///
-/// `sample_fraction` of the fact table (clamped to `1024..=1_000_000` rows)
-/// is used for selection.
+/// Execute `plan` with the flavor a sampled pre-run selects, with `cancel`
+/// threaded through both the sampled selection runs and the final
+/// full-table run. `sample_fraction` of the fact table (clamped to
+/// `1024..=1_000_000` rows) is used for selection.
 pub fn try_execute_star_dynamic(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_fraction: f64,
-) -> Result<(QueryOutput, Selection), ExecError> {
-    try_execute_star_dynamic_cancellable(plan, fact, sample_fraction, &CancelToken::new())
-}
-
-/// [`try_execute_star_dynamic`] with a caller-supplied cancel token threaded
-/// through both the sampled selection runs and the final full-table run.
-pub fn try_execute_star_dynamic_cancellable(
     plan: &StarPlan,
     fact: &Table,
     sample_fraction: f64,
     cancel: &CancelToken,
 ) -> Result<(QueryOutput, Selection), ExecError> {
     let rows = ((fact.len() as f64 * sample_fraction) as usize).clamp(1024, 1_000_000);
-    let sel = try_choose_flavor_cancellable(plan, fact, rows, cancel)?;
-    let (out, _) =
-        try_execute_star_cancellable(plan, fact, &ExecConfig::for_flavor(sel.flavor), cancel)?;
+    let sel = try_choose_flavor(plan, fact, rows, cancel)?;
+    let cfg = ExecConfig::for_flavor(sel.flavor);
+    let (out, _) = run(plan, MorselSource::Mem(fact), &cfg, cancel)?;
     Ok((out, sel))
-}
-
-/// Panicking convenience over [`try_execute_star_dynamic`].
-pub fn execute_star_dynamic(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_fraction: f64,
-) -> (QueryOutput, Selection) {
-    try_execute_star_dynamic(plan, fact, sample_fraction).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -145,7 +108,7 @@ mod tests {
     #[test]
     fn selection_ranks_all_flavors() {
         let (fact, plan) = toy();
-        let sel = choose_flavor(&plan, &fact, 4096);
+        let sel = try_choose_flavor(&plan, &fact, 4096, &CancelToken::new()).unwrap();
         assert_eq!(sel.sample_secs.len(), Flavor::ALL.len());
         assert!(sel.sample_secs.iter().all(|&(_, t)| t > 0.0));
         assert_eq!(sel.sample_rows, 4096);
@@ -154,7 +117,7 @@ mod tests {
     #[test]
     fn dynamic_execution_matches_static_results() {
         let (fact, plan) = toy();
-        let (out, sel) = execute_star_dynamic(&plan, &fact, 0.2);
+        let (out, sel) = try_execute_star_dynamic(&plan, &fact, 0.2, &CancelToken::new()).unwrap();
         let reference = execute_star(&plan, &fact, &ExecConfig::scalar());
         assert_eq!(out.groups, reference.groups);
         assert!(Flavor::ALL.contains(&sel.flavor));
@@ -186,11 +149,11 @@ mod tests {
         let (fact, mut plan) = toy();
         plan.measure = Measure::Sum("ghost".into());
         assert!(matches!(
-            try_choose_flavor(&plan, &fact, 1024),
+            try_choose_flavor(&plan, &fact, 1024, &CancelToken::new()),
             Err(ExecError::BadPlan { .. })
         ));
         assert!(matches!(
-            try_execute_star_dynamic(&plan, &fact, 0.1),
+            try_execute_star_dynamic(&plan, &fact, 0.1, &CancelToken::new()),
             Err(ExecError::BadPlan { .. })
         ));
     }
@@ -198,7 +161,7 @@ mod tests {
     #[test]
     fn sample_clamps_to_table_size() {
         let (fact, plan) = toy();
-        let sel = choose_flavor(&plan, &fact, 10_000_000);
+        let sel = try_choose_flavor(&plan, &fact, 10_000_000, &CancelToken::new()).unwrap();
         assert_eq!(sel.sample_rows, fact.len());
     }
 }

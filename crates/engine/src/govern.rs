@@ -26,17 +26,15 @@
 //! Configuration comes from `HEF_MAX_QUERIES` (concurrent-query cap, 0 =
 //! unlimited) and `HEF_MEM_BUDGET` (bytes, `k`/`m`/`g` suffixes accepted,
 //! 0 = unlimited), read once per process; tests install a scoped governor
-//! via [`with_governor`], serialized process-wide exactly like
-//! `fault::with_plan`.
+//! for the calling thread via [`with_governor`].
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use hef_storage::Table;
-
-use crate::parallel::{ExecError, ExecReport};
-use crate::star::{ExecConfig, Flavor, Measure, StarPlan};
+use crate::parallel::{ExecError, ExecReport, MorselSource};
+use crate::star::{ExecConfig, Flavor, Measure, QueryOutput, StarPlan};
 
 /// Why a governed query stopped before completing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +127,17 @@ impl QueryCtx {
     pub fn remaining_ms(&self) -> Option<u64> {
         let d = self.deadline?;
         Some(d.saturating_duration_since(Instant::now()).as_millis() as u64)
+    }
+
+    /// This context further bounded by a `deadline_ms` budget starting now
+    /// (`0` = no further bound); the earlier deadline wins.
+    pub(crate) fn bounded(&self, deadline_ms: u64) -> QueryCtx {
+        let own = QueryCtx::new(self.cancel.clone(), deadline_ms);
+        match (self.deadline, own.deadline) {
+            (Some(mine), Some(theirs)) if mine <= theirs => self.clone(),
+            (_, Some(_)) => own,
+            (_, None) => self.clone(),
+        }
     }
 
     /// Poll for an interrupt. Cancellation wins over the deadline when both
@@ -249,33 +258,6 @@ impl BudgetTracker {
             self.used.fetch_sub(bytes, Ordering::AcqRel);
         }
     }
-
-    /// Charge `bytes` for a non-admission allocation (e.g. the paged-scan
-    /// page cache), returning an RAII guard that releases on drop. `None`
-    /// when the budget cannot fit the charge.
-    pub fn try_charge_guard(&self, bytes: usize) -> Option<ByteCharge<'_>> {
-        if !self.try_charge(bytes) {
-            return None;
-        }
-        if bytes > 0 && self.limit > 0 {
-            hef_obs::metrics::add(hef_obs::metrics::Metric::GovBytesCharged, bytes as u64);
-        }
-        Some(ByteCharge { budget: self, bytes })
-    }
-}
-
-/// RAII byte charge against a [`BudgetTracker`] (see
-/// [`BudgetTracker::try_charge_guard`]).
-#[derive(Debug)]
-pub struct ByteCharge<'a> {
-    budget: &'a BudgetTracker,
-    bytes: usize,
-}
-
-impl Drop for ByteCharge<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.bytes);
-    }
 }
 
 /// Worst-case bytes a query's execution scratch will allocate: per worker,
@@ -283,23 +265,31 @@ impl Drop for ByteCharge<'_> {
 /// measure scratch; Voila: one dense buffer per column + gid/slots/pay),
 /// the private group-accumulator array, and — when radix partitioning is
 /// live — the `PartitionScratch` bucketing copy plus per-partition offset
-/// tables. Deliberately a slight over-estimate: admission must never
+/// tables. A paged source batches whole pages, adds one decoded page buffer
+/// per plan column plus the code-space filter buffer per worker, and the
+/// page cache's full capacity (the standing allocation a paged scan can
+/// pin). Deliberately a slight over-estimate: admission must never
 /// under-charge.
 pub fn estimate_query_bytes(
     plan: &StarPlan,
-    fact: &Table,
+    source: MorselSource<'_>,
     cfg: &ExecConfig,
     threads: usize,
 ) -> usize {
-    let batch = cfg.batch.clamp(1, fact.len().max(1));
-    let streams = if cfg.flavor == Flavor::Voila {
-        let measure_cols = match plan.measure {
-            Measure::Sum(_) => 1,
-            Measure::SumProduct(..) | Measure::SumDiff(..) => 2,
-        };
-        plan.dims.len() + measure_cols + 3
-    } else {
-        6
+    let measure_cols = match plan.measure {
+        Measure::Sum(_) => 1,
+        Measure::SumProduct(..) | Measure::SumDiff(..) => 2,
+    };
+    let (batch, streams, shared) = match source {
+        MorselSource::Mem(fact) => {
+            let streams =
+                if cfg.flavor == Flavor::Voila { plan.dims.len() + measure_cols + 3 } else { 6 };
+            (cfg.batch.clamp(1, fact.len().max(1)), streams, 0)
+        }
+        MorselSource::Paged { table, cache } => {
+            let plan_cols = plan.filters.len() + plan.dims.len() + measure_cols;
+            (table.rows_per_page().max(1), 6 + plan_cols + 1, cache.capacity())
+        }
     };
     let mut per_worker = batch * 8 * streams + plan.group_cells() * 8;
     if cfg.partition {
@@ -310,7 +300,7 @@ pub fn estimate_query_bytes(
             per_worker += batch * 16 + (1usize << bits) * 16;
         }
     }
-    threads.max(1) * per_worker
+    (threads.max(1) * per_worker).saturating_add(shared)
 }
 
 // ---------------------------------------------------------------------------
@@ -384,34 +374,23 @@ pub struct Governor {
     degraded_fps: Mutex<Vec<u64>>,
 }
 
-static OVERRIDE_ARMED: AtomicBool = AtomicBool::new(false);
-
-fn override_slot() -> &'static Mutex<Option<Arc<Governor>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<Governor>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
+thread_local! {
+    static OVERRIDE: RefCell<Option<Arc<Governor>>> = const { RefCell::new(None) };
 }
 
-/// Install a scoped governor, run `f` with it, then restore the previous
-/// one — holding a process-wide guard (mirroring `fault::with_plan`) so
-/// concurrent tests never observe each other's budgets.
+/// Install a scoped governor for the calling thread, run `f` with it, then
+/// restore the previous one. Queries entering the executor on this thread
+/// are admitted by it; queries on every other thread are not, so concurrent
+/// tests never observe each other's budgets.
 pub fn with_governor<R>(cfg: GovernorConfig, f: impl FnOnce(&Arc<Governor>) -> R) -> R {
-    static GUARD: Mutex<()> = Mutex::new(());
-    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let gov = Arc::new(Governor::new(cfg));
-    {
-        let mut slot = override_slot().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(gov.clone());
-        OVERRIDE_ARMED.store(true, Ordering::Release);
-    }
-    struct Restore;
+    struct Restore(Option<Arc<Governor>>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            let mut slot = override_slot().lock().unwrap_or_else(|e| e.into_inner());
-            *slot = None;
-            OVERRIDE_ARMED.store(false, Ordering::Release);
+            OVERRIDE.with(|o| *o.borrow_mut() = self.0.take());
         }
     }
-    let _restore = Restore;
+    let _restore = Restore(OVERRIDE.with(|o| o.replace(Some(gov.clone()))));
     f(&gov)
 }
 
@@ -425,14 +404,12 @@ impl Governor {
         }
     }
 
-    /// The governor in effect: the [`with_governor`] override when armed,
-    /// else the process-global instance built from the environment.
+    /// The governor in effect: the calling thread's [`with_governor`]
+    /// override when armed, else the process-global instance built from the
+    /// environment.
     pub fn current() -> Arc<Governor> {
-        if OVERRIDE_ARMED.load(Ordering::Acquire) {
-            let slot = override_slot().lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(gov) = slot.as_ref() {
-                return gov.clone();
-            }
+        if let Some(gov) = OVERRIDE.with(|o| o.borrow().clone()) {
+            return gov;
         }
         static GLOBAL: OnceLock<Arc<Governor>> = OnceLock::new();
         GLOBAL.get_or_init(|| Arc::new(Governor::new(GovernorConfig::from_env()))).clone()
@@ -471,7 +448,7 @@ impl Governor {
     pub fn admit(
         self: &Arc<Self>,
         plan: &StarPlan,
-        fact: &Table,
+        source: MorselSource<'_>,
         cfg: &mut ExecConfig,
         threads: &mut usize,
     ) -> Result<Admission, ExecError> {
@@ -498,7 +475,7 @@ impl Governor {
         if self.budget.limit > 0 {
             loop {
                 let est =
-                    estimate_query_bytes(plan, fact, cfg, *threads).saturating_add(spike);
+                    estimate_query_bytes(plan, source, cfg, *threads).saturating_add(spike);
                 if self.budget.try_charge(est) {
                     charged = est;
                     break;
@@ -589,7 +566,7 @@ impl Drop for Admission {
 // Admission retry.
 // ---------------------------------------------------------------------------
 
-/// [`crate::try_execute_star_cancellable`] with capped exponential backoff
+/// [`crate::run`] with capped exponential backoff
 /// on transient admission rejections: a rejected query sleeps the
 /// governor's `retry_after_ms` hint, doubling per attempt (capped at
 /// 100 ms), up to `max_retries` times. The backoff sleep itself honors the
@@ -598,11 +575,11 @@ impl Drop for Admission {
 /// on the first occurrence.
 pub fn try_execute_star_with_retry(
     plan: &StarPlan,
-    fact: &Table,
+    source: MorselSource<'_>,
     cfg: &ExecConfig,
     cancel: &CancelToken,
     max_retries: u32,
-) -> Result<(crate::star::QueryOutput, ExecReport), ExecError> {
+) -> Result<(QueryOutput, ExecReport), ExecError> {
     let mut attempt = 0u32;
     // Total wall time this query spent waiting in admission backoff; fed to
     // the `govern.admission_wait_us` histogram on whatever outcome ends the
@@ -614,7 +591,7 @@ pub fn try_execute_star_with_retry(
         }
     };
     loop {
-        match crate::star::try_execute_star_cancellable(plan, fact, cfg, cancel) {
+        match crate::parallel::run(plan, source, cfg, cancel) {
             Err(ExecError::Rejected { retry_after_ms, .. }) if attempt < max_retries => {
                 let backoff = retry_after_ms
                     .max(1)
@@ -644,7 +621,7 @@ pub fn try_execute_star_with_retry(
 mod tests {
     use super::*;
     use crate::star::build_dimension;
-    use hef_storage::Column;
+    use hef_storage::{Column, Table};
 
     fn toy(n: u64) -> (Table, StarPlan) {
         let mut fact = Table::new("fact");
@@ -691,10 +668,10 @@ mod tests {
             let (fact, plan) = toy(4000);
             let mut cfg = ExecConfig::hybrid_default();
             let mut threads = 2;
-            let first = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("admitted");
+            let first = gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg, &mut threads).expect("admitted");
             let mut cfg2 = ExecConfig::hybrid_default();
             let mut threads2 = 2;
-            match gov.admit(&plan, &fact, &mut cfg2, &mut threads2) {
+            match gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg2, &mut threads2) {
                 Err(ExecError::Rejected { retry_after_ms, .. }) => {
                     assert!(retry_after_ms >= 1)
                 }
@@ -703,7 +680,7 @@ mod tests {
             drop(first);
             assert_eq!(gov.active_queries(), 0);
             // Slot freed: admission succeeds again.
-            gov.admit(&plan, &fact, &mut cfg2, &mut threads2).expect("re-admitted");
+            gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg2, &mut threads2).expect("re-admitted");
         });
     }
 
@@ -713,13 +690,13 @@ mod tests {
         // No partitioned dim in the toy plan, so the ladder starts at
         // batch shrinking. Budget fits exactly one minimal worker shape.
         let minimal =
-            estimate_query_bytes(&plan, &fact, &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
+            estimate_query_bytes(&plan, MorselSource::Mem(&fact), &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
         with_governor(
             GovernorConfig { max_queries: 0, mem_budget: minimal },
             |gov| {
                 let mut cfg = ExecConfig::hybrid_default();
                 let mut threads = 4;
-                let mut adm = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("fits");
+                let mut adm = gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg, &mut threads).expect("fits");
                 let actions = adm.take_actions();
                 assert!(!actions.is_empty(), "budget pressure must degrade");
                 assert!(actions
@@ -736,7 +713,7 @@ mod tests {
         with_governor(GovernorConfig { max_queries: 0, mem_budget: 64 }, |gov| {
             let mut cfg = ExecConfig::hybrid_default();
             let mut threads = 4;
-            match gov.admit(&plan, &fact, &mut cfg, &mut threads) {
+            match gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg, &mut threads) {
                 Err(ExecError::Rejected { retry_after_ms, .. }) => {
                     assert!(retry_after_ms >= 1)
                 }
@@ -752,14 +729,14 @@ mod tests {
         use hef_testutil::fault::{with_plan, FaultPlan, MemSpike};
         let (fact, plan) = toy(20_000);
         let cfg0 = ExecConfig::hybrid_default();
-        let comfortable = estimate_query_bytes(&plan, &fact, &cfg0, 4) * 2;
+        let comfortable = estimate_query_bytes(&plan, MorselSource::Mem(&fact), &cfg0, 4) * 2;
         with_governor(
             GovernorConfig { max_queries: 0, mem_budget: comfortable },
             |gov| {
                 // Without a spike: admitted clean at full shape.
                 let mut cfg = cfg0;
                 let mut threads = 4;
-                let mut adm = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("clean");
+                let mut adm = gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg, &mut threads).expect("clean");
                 assert!(adm.take_actions().is_empty());
                 drop(adm);
                 // A spike bigger than the headroom forces degradation.
@@ -770,7 +747,7 @@ mod tests {
                 with_plan(faults, || {
                     let mut cfg = cfg0;
                     let mut threads = 4;
-                    match gov.admit(&plan, &fact, &mut cfg, &mut threads) {
+                    match gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg, &mut threads) {
                         Ok(mut adm) => assert!(!adm.take_actions().is_empty()),
                         Err(ExecError::Rejected { .. }) => {}
                         other => panic!("unexpected: {other:?}"),
@@ -788,6 +765,21 @@ mod tests {
         let r = sleep_checked(Duration::from_millis(5000), &ctx);
         assert_eq!(r, Err(Interrupt::DeadlineExceeded));
         assert!(start.elapsed() < Duration::from_millis(2000), "must not sleep the full stall");
+    }
+
+    #[test]
+    fn bounded_context_keeps_the_earlier_deadline() {
+        let token = CancelToken::new();
+        let caller = QueryCtx::new(token.clone(), 10_000);
+        assert_eq!(caller.bounded(0).deadline_ms(), 10_000);
+        assert_eq!(caller.bounded(5).deadline_ms(), 5);
+        assert_eq!(caller.bounded(60_000).deadline_ms(), 10_000);
+        assert_eq!(QueryCtx::unbounded().bounded(7).deadline_ms(), 7);
+        assert_eq!(QueryCtx::unbounded().bounded(0).remaining_ms(), None);
+        // The caller's token still cancels the bounded context.
+        let bounded = caller.bounded(5);
+        token.cancel();
+        assert_eq!(bounded.check(), Err(Interrupt::Cancelled));
     }
 
     #[test]

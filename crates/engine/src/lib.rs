@@ -31,19 +31,15 @@ pub mod plan;
 pub mod star;
 pub mod voila;
 
-pub use dynamic::{
-    choose_flavor, execute_star_dynamic, try_choose_flavor, try_choose_flavor_cancellable,
-    try_execute_star_dynamic, try_execute_star_dynamic_cancellable, Selection,
-};
+pub use dynamic::{try_choose_flavor, try_execute_star_dynamic, Selection};
 pub use govern::{
     estimate_query_bytes, try_execute_star_with_retry, with_governor, BudgetTracker, CancelToken,
     DegradeAction, Governor, GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
 };
 pub use ops::{gather_keys, grouped_accumulate};
-pub use paged::{execute_star_paged, try_execute_star_paged_ctx, PagedTable, PagedTableError};
+pub use paged::{try_execute_star_paged_ctx, PagedTable, PagedTableError};
 pub use parallel::{
-    execute_star_parallel, resolve_threads, resolve_threads_governed, try_execute_star_parallel,
-    ExecError, ExecReport,
+    resolve_threads, resolve_threads_governed, run, ExecError, ExecReport, MorselSource,
 };
 pub use pipeline_plan::apply_pipeline_entry;
 pub use plan::{
@@ -51,9 +47,8 @@ pub use plan::{
     LogicalPlan, Node, OptReport, PlanBuilder, PlanError, Pred,
 };
 pub use star::{
-    build_dimension, execute_star, try_execute_star, try_execute_star_cancellable,
-    validate_star_plan, DimJoin, ExecConfig, ExecStats, Flavor, Measure, QueryOutput, RangeFilter,
-    StarPlan,
+    build_dimension, execute_star, try_execute_star, validate_star_plan, DimJoin, ExecConfig,
+    ExecStats, Flavor, Measure, QueryOutput, RangeFilter, StarPlan,
 };
 
 pub use hef_kernels::{HybridConfig, ProbeTable, MISS};

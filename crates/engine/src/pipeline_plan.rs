@@ -8,7 +8,7 @@
 //! counts) so a plan tuned at one scale factor resolves at every other.
 //!
 //! At execution time, `HEF_PIPELINE=<registry file>` makes
-//! [`crate::try_execute_star`] look the executing plan's fingerprint up in
+//! [`crate::run`] look the executing plan's fingerprint up in
 //! that file and overlay the matching joint configuration onto the caller's
 //! [`ExecConfig`]. The lookup degrades, never fails: an unreadable or torn
 //! file, a missing row, or a stale-ISA registry all leave the caller's
@@ -371,9 +371,9 @@ mod tests {
         // admission's first ladder rung is exactly DropPartition.
         let mut flat = base;
         flat.partition = false;
-        let budget = crate::govern::estimate_query_bytes(&plan, &fact, &flat, 2);
+        let budget = crate::govern::estimate_query_bytes(&plan, crate::MorselSource::Mem(&fact), &flat, 2);
         assert!(
-            crate::govern::estimate_query_bytes(&plan, &fact, &base, 2) > budget,
+            crate::govern::estimate_query_bytes(&plan, crate::MorselSource::Mem(&fact), &base, 2) > budget,
             "partitioned estimate must exceed the flat-shape budget"
         );
 
@@ -385,7 +385,7 @@ mod tests {
 
             let mut cfg = base;
             let mut threads = 2;
-            let adm = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("admit degraded");
+            let adm = gov.admit(&plan, crate::MorselSource::Mem(&fact), &mut cfg, &mut threads).expect("admit degraded");
             assert!(!cfg.partition, "ladder must have dropped partitioning");
             assert!(gov.fingerprint_degraded(plan.fingerprint()));
 

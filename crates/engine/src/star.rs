@@ -1,13 +1,17 @@
-//! Star-query plans and the VIP-style pipelined executor.
+//! Star-query plans and the VIP-style pipeline worker.
 
 use hef_hid::Backend;
 use hef_kernels::{
     plan_partition_bits, run_on, Family, HybridConfig, KernelIo, PartitionScratch,
     PartitionedProbeTable, ProbeTable,
 };
+use hef_storage::cache::PageCache;
+use hef_storage::page::PagedColumn;
 use hef_storage::Table;
 
 use crate::ops::{compact_hits, gather_keys, grouped_accumulate};
+use crate::paged::PageCols;
+use crate::parallel::{ExecError, ExecReport, Halt, MorselSource};
 
 /// Execution flavor (the four bars of the paper's Figs. 8–10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,7 +68,7 @@ pub struct ExecConfig {
     pub partition: bool,
     /// Per-query deadline in milliseconds (`0` = none). Checked at every
     /// morsel claim and batch boundary; an expired deadline surfaces as
-    /// typed [`crate::parallel::ExecError::DeadlineExceeded`]. Overridable
+    /// typed [`ExecError::DeadlineExceeded`]. Overridable
     /// per run via `HEF_DEADLINE_MS`.
     pub deadline_ms: u64,
 }
@@ -148,8 +152,8 @@ impl ExecConfig {
         }
     }
 
-    /// The Voila comparator (the flavor tag routes execution to
-    /// [`crate::voila::execute_star_voila`]; kernel configs are unused).
+    /// The Voila comparator (the flavor tag routes in-memory execution to
+    /// the [`crate::voila`] worker; kernel configs are unused).
     pub fn voila() -> ExecConfig {
         ExecConfig {
             flavor: Flavor::Voila,
@@ -416,12 +420,12 @@ pub fn build_dimension(
 /// Check a physical plan against the fact table before execution: every
 /// referenced column must exist and explicit group-id strides must be
 /// consistent with the group-cell count. Returns a typed
-/// [`ExecError::BadPlan`](crate::parallel::ExecError) instead of letting a
+/// [`ExecError::BadPlan`] instead of letting a
 /// worker thread hit the inconsistency as a panic mid-query.
 pub fn validate_star_plan(
     plan: &StarPlan,
     fact: &Table,
-) -> Result<(), crate::parallel::ExecError> {
+) -> Result<(), ExecError> {
     validate_star_plan_with(plan, fact.name(), |c| fact.column(c).is_some())
 }
 
@@ -431,12 +435,12 @@ pub(crate) fn validate_star_plan_with(
     plan: &StarPlan,
     fact_name: &str,
     has_col: impl Fn(&str) -> bool,
-) -> Result<(), crate::parallel::ExecError> {
-    let bad = |message: String| crate::parallel::ExecError::BadPlan {
+) -> Result<(), ExecError> {
+    let bad = |message: String| ExecError::BadPlan {
         query: plan.name.clone(),
         message,
     };
-    let need = |what: &str, col: &str| -> Result<(), crate::parallel::ExecError> {
+    let need = |what: &str, col: &str| -> Result<(), ExecError> {
         if !has_col(col) {
             return Err(bad(format!(
                 "{what} references column `{col}`, absent from fact table `{fact_name}`"
@@ -483,168 +487,166 @@ pub(crate) fn validate_star_plan_with(
     Ok(())
 }
 
-/// Execute `plan` against `fact` using `cfg`.
+/// Execute `plan` against `fact` using `cfg`, panicking on a typed error.
 ///
 /// Resolves the worker-thread count (see [`ExecConfig::threads`]) and routes
-/// every flavor — including Voila — through the morsel-driven parallel
-/// executor when more than one worker is requested; a single worker runs the
-/// serial pipeline directly (identical code either way: the parallel path is
-/// the same per-worker pipeline over morsels instead of the whole table).
+/// every flavor — including Voila — through the morsel scheduler when more
+/// than one worker is requested; a single worker runs the serial rung
+/// directly (identical code either way: see [`crate::run`]).
 pub fn execute_star(plan: &StarPlan, fact: &Table, cfg: &ExecConfig) -> QueryOutput {
     try_execute_star(plan, fact, cfg)
         .map(|(out, _)| out)
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Execute `plan` with the full degradation ladder, returning the output
-/// together with the [`ExecReport`] of every recovery action (morsels
-/// retried, workers lost, serial degradation). The output is bit-identical
-/// to a clean run's — recovery can change latency, never results; a typed
-/// [`ExecError`] comes back only when even the serial fallback fails.
-///
-/// [`ExecReport`]: crate::parallel::ExecReport
-/// [`ExecError`]: crate::parallel::ExecError
+/// [`crate::run`] over an in-memory fact table with a fresh cancel token:
+/// the output together with the [`ExecReport`] of every recovery action
+/// (morsels retried, workers lost, serial degradation). The output is
+/// bit-identical to a clean run's — recovery can change latency, never
+/// results; a typed [`ExecError`] comes back only when even the serial
+/// fallback fails, or governance rejects or interrupts the query.
 pub fn try_execute_star(
     plan: &StarPlan,
     fact: &Table,
     cfg: &ExecConfig,
-) -> Result<(QueryOutput, crate::parallel::ExecReport), crate::parallel::ExecError> {
-    try_execute_star_cancellable(plan, fact, cfg, &crate::govern::CancelToken::new())
+) -> Result<(QueryOutput, ExecReport), ExecError> {
+    crate::parallel::run(plan, MorselSource::Mem(fact), cfg, &crate::govern::CancelToken::new())
 }
 
-/// [`try_execute_star`] with a caller-held [`CancelToken`]: clone the token
-/// into whatever owns the query's lifetime and [`cancel`] it to stop the
-/// query cooperatively at the next morsel/batch boundary, yielding typed
-/// [`ExecError::Cancelled`] with the partial report. This is also the full
-/// governed path: the query is admitted by [`Governor::current`] (possibly
-/// degraded under memory pressure, possibly `Rejected`) and runs under its
-/// deadline (`ExecConfig::deadline_ms` / `HEF_DEADLINE_MS`).
-///
-/// [`cancel`]: crate::govern::CancelToken::cancel
-/// [`Governor::current`]: crate::govern::Governor::current
-/// [`ExecError::Cancelled`]: crate::parallel::ExecError::Cancelled
-/// [`CancelToken`]: crate::govern::CancelToken
-pub fn try_execute_star_cancellable(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
-    cancel: &crate::govern::CancelToken,
-) -> Result<(QueryOutput, crate::parallel::ExecReport), crate::parallel::ExecError> {
-    // Drop-guard drain: a query ending in a typed error (Rejected /
-    // Cancelled / DeadlineExceeded / Failed) — or unwinding — flushes the
-    // partially-filled trace buffers to the session's file via
-    // `trace::checkpoint`, so `HEF_TRACE` output survives non-success
-    // paths. A successful query disarms and leaves the single write to the
-    // session's `finish()`.
-    struct TraceDrain {
-        armed: bool,
+/// The fact columns a plan reads, resolved against its source once per
+/// query: each distinct column appears once in `cols`, and every plan
+/// operand is an index into it.
+pub(crate) struct FactCols<'a> {
+    pub(crate) source: MorselSource<'a>,
+    cols: SourceCols<'a>,
+    filters: Vec<usize>,
+    fks: Vec<usize>,
+    /// Measure operands; both entries name the same column for a `Sum`.
+    measure: [usize; 2],
+}
+
+enum SourceCols<'a> {
+    Mem(Vec<&'a [u64]>),
+    Paged { cache: &'a PageCache, cols: Vec<&'a PagedColumn> },
+}
+
+impl<'a> FactCols<'a> {
+    /// Resolve `plan`'s columns against `source`. Validation has already
+    /// proved every column exists; a miss stays a typed error anyway.
+    pub(crate) fn resolve<'p>(
+        plan: &'p StarPlan,
+        source: MorselSource<'a>,
+    ) -> Result<Self, ExecError> {
+        let mut names: Vec<&'p str> = Vec::new();
+        let mut slot = |name: &'p str| match names.iter().position(|&n| n == name) {
+            Some(i) => i,
+            None => {
+                names.push(name);
+                names.len() - 1
+            }
+        };
+        let filters = plan.filters.iter().map(|f| slot(&f.col)).collect();
+        let fks = plan.dims.iter().map(|d| slot(&d.fk_col)).collect();
+        let measure = match &plan.measure {
+            Measure::Sum(a) => [slot(a); 2],
+            Measure::SumProduct(a, b) | Measure::SumDiff(a, b) => [slot(a), slot(b)],
+        };
+        let missing = |name: &str| ExecError::BadPlan {
+            query: plan.name.clone(),
+            message: format!("column `{name}` absent from fact table `{}`", source.name()),
+        };
+        let cols = match source {
+            MorselSource::Mem(t) => SourceCols::Mem(
+                names
+                    .iter()
+                    .map(|&n| t.column(n).map(|c| c.values()).ok_or_else(|| missing(n)))
+                    .collect::<Result<_, _>>()?,
+            ),
+            MorselSource::Paged { table, cache } => SourceCols::Paged {
+                cache,
+                cols: names
+                    .iter()
+                    .map(|&n| table.column(n).ok_or_else(|| missing(n)))
+                    .collect::<Result<_, _>>()?,
+            },
+        };
+        Ok(FactCols { source, cols, filters, fks, measure })
     }
-    impl Drop for TraceDrain {
-        fn drop(&mut self) {
-            if self.armed {
-                hef_obs::trace::checkpoint();
+}
+
+/// One worker's view of the current batch's columns, as batch-local
+/// slices: row `i` of every slice is the batch's `i`-th row.
+enum BatchCols<'a> {
+    /// Resident columns; the batch is rows `start..end`.
+    Mem { cols: &'a [&'a [u64]], start: usize, end: usize },
+    /// Paged columns; the batch is one page, decoded lazily per column.
+    Paged(Box<PageCols<'a>>),
+}
+
+impl<'a> BatchCols<'a> {
+    fn new(fact: &'a FactCols<'a>) -> Self {
+        match &fact.cols {
+            SourceCols::Mem(cols) => BatchCols::Mem { cols, start: 0, end: 0 },
+            SourceCols::Paged { cache, cols } => {
+                BatchCols::Paged(Box::new(PageCols::new(cache, cols)))
             }
         }
     }
-    let mut drain = TraceDrain {
-        armed: hef_obs::trace::enabled(),
-    };
-    validate_star_plan(plan, fact)?;
-    // Overlay a tuned per-query pipeline plan (registry v3 via
-    // `HEF_PIPELINE`) first, then the explicit per-knob env overrides, so
-    // `HEF_PREFETCH`/`HEF_PARTITION` still win over the joint plan.
-    let mut cfg = crate::pipeline_plan::resolve_pipeline_env(plan, *cfg).resolved_from_env();
-    let resolved_threads = crate::parallel::resolve_threads(cfg.threads);
-    // Admission: may degrade `cfg`/`threads` under memory pressure (the
-    // one-slot pipeline cache is invalidated when it does) or reject. The
-    // guard's Drop releases the charge on every path out of this function.
-    let mut threads = resolved_threads;
-    let gov = crate::govern::Governor::current();
-    let mut admission = gov.admit(plan, fact, &mut cfg, &mut threads)?;
-    let threads = crate::parallel::resolve_threads_governed(resolved_threads, threads);
-    let ctx = crate::govern::QueryCtx::new(cancel.clone(), cfg.deadline_ms);
-    let cfg = &cfg;
-    let _qspan = if hef_obs::trace::enabled() {
-        hef_obs::trace::span_begin_labeled(
-            "query",
-            &format!("{} [{}]", plan.name, cfg.flavor.name()),
-            &[("rows", fact.len() as i64), ("threads", threads as i64)],
-        )
-    } else {
-        hef_obs::trace::SpanGuard::disabled()
-    };
-    hef_obs::metrics::add(hef_obs::metrics::Metric::QueriesExecuted, 1);
-    let mut result = if threads > 1 {
-        crate::parallel::try_execute_star_parallel_ctx(plan, fact, cfg, threads, &ctx)
-    } else {
-        let report = crate::parallel::ExecReport { threads: 1, ..Default::default() };
-        crate::parallel::run_serial_guarded_ctx(plan, fact, cfg, &ctx, &report)
-            .map(|out| (out, report))
-    };
-    // Stamp the admission-time degradations into whichever report the
-    // outcome carries, so callers always see the full attribution.
-    let actions = admission.take_actions();
-    match &mut result {
-        Ok((_, report)) => report.degrade_actions = actions,
-        Err(crate::parallel::ExecError::Cancelled { report, .. })
-        | Err(crate::parallel::ExecError::DeadlineExceeded { report, .. }) => {
-            report.degrade_actions = actions
+
+    /// Point at rows `start..end` of morsel `idx`.
+    fn select(&mut self, idx: usize, start: usize, end: usize) {
+        match self {
+            BatchCols::Mem { start: s, end: e, .. } => (*s, *e) = (start, end),
+            BatchCols::Paged(p) => p.select(idx),
         }
-        Err(_) => {}
     }
-    if result.is_ok() {
-        // How close did a deadlined query come to its budget? Slack feeds
-        // capacity planning (a p1 near 0 means deadlines are about to fire).
-        if let Some(slack) = ctx.remaining_ms() {
-            hef_obs::metrics::observe(hef_obs::metrics::Hist::DeadlineSlackMs, slack);
+
+    /// Column `slot` over the current batch.
+    fn col(&mut self, slot: usize, cfg: &ExecConfig) -> Result<&[u64], Halt> {
+        match self {
+            BatchCols::Mem { cols, start, end } => Ok(&cols[slot][*start..*end]),
+            BatchCols::Paged(p) => p.col(slot, cfg),
         }
-        drain.armed = false;
     }
-    hef_obs::metrics::maybe_dump();
-    result
+
+    /// Append the batch-local ids of the rows passing `f` (over column
+    /// `slot`) to `sel`. Pages evaluate it in code space where they can.
+    fn first_filter(
+        &mut self,
+        slot: usize,
+        f: &RangeFilter,
+        cfg: &ExecConfig,
+        sel: &mut Vec<u64>,
+    ) -> Result<(), Halt> {
+        if let BatchCols::Paged(p) = self {
+            return p.first_filter(slot, f, cfg, sel);
+        }
+        filter(self.col(slot, cfg)?, f.lo, f.hi, sel, cfg);
+        Ok(())
+    }
 }
 
-/// The serial path: one worker over the whole fact table, under a
-/// governance context — checks `ctx` at every batch boundary and honors
-/// `slow_morsel:` stalls interruptibly, mirroring the parallel workers.
-/// Consults the fault harness once (worker id
-/// [`hef_testutil::fault::SERIAL_WORKER`], morsel 0) so unrestricted
-/// `HEF_FAULT=panic:morsel=0` plans exercise the ladder's last rung too.
-pub(crate) fn execute_star_serial_ctx(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
-    ctx: &crate::govern::QueryCtx,
-) -> Result<QueryOutput, crate::govern::Interrupt> {
-    hef_testutil::fault::maybe_panic_worker(
-        hef_testutil::fault::SERIAL_WORKER,
-        0,
-        hef_testutil::fault::Phase::Before,
+/// Append the ids of the `input` rows within `lo..=hi` (signed) to `sel`
+/// through the tuned filter kernel.
+pub(crate) fn filter(input: &[u64], lo: u64, hi: u64, sel: &mut Vec<u64>, cfg: &ExecConfig) {
+    let mut io = KernelIo::Filter { input, lo, hi, base: 0, sel };
+    assert!(
+        run_on(Family::Filter, cfg.filter, cfg.backend, &mut io),
+        "filter node {} not compiled",
+        cfg.filter
     );
-    if let Some(stall) =
-        hef_testutil::fault::next_slow_morsel(hef_testutil::fault::SERIAL_WORKER, 0)
-    {
-        crate::govern::sleep_checked(stall, ctx)?;
-    }
-    if cfg.flavor == Flavor::Voila {
-        let mut w = crate::voila::VoilaWorker::new(plan, fact, cfg.batch);
-        w.try_run_range(0, fact.len(), ctx)?;
-        return Ok(w.finish());
-    }
-    let mut w = PipelineWorker::new(plan, fact, cfg);
-    w.try_run_range(0, fact.len(), ctx)?;
-    Ok(w.finish())
 }
 
-/// One VIP-style pipeline worker: owns the reusable batch buffers, a private
-/// group-accumulator array, and private [`ExecStats`]. The serial executor
-/// is a single worker run over `0..n`; the parallel executor hands disjoint
-/// morsels of the fact table to one worker per thread and merges at the end
-/// (see `crate::parallel`).
+/// One VIP-style pipeline worker — the only filter → probe → gid →
+/// aggregate code, whatever the source. It owns the reusable batch buffers,
+/// a private group-accumulator array, and private [`ExecStats`], and runs
+/// morsels the scheduler hands it (see `crate::parallel`) over batch-local
+/// row ids.
 pub(crate) struct PipelineWorker<'a> {
     plan: &'a StarPlan,
-    fact: &'a Table,
+    fact: &'a FactCols<'a>,
     cfg: &'a ExecConfig,
+    cols: BatchCols<'a>,
     acc: Vec<u64>,
     stats: ExecStats,
     /// Per-dimension group-id strides (see [`StarPlan::gid_strides`]).
@@ -659,7 +661,7 @@ pub(crate) struct PipelineWorker<'a> {
 }
 
 impl<'a> PipelineWorker<'a> {
-    pub(crate) fn new(plan: &'a StarPlan, fact: &'a Table, cfg: &'a ExecConfig) -> Self {
+    pub(crate) fn new(plan: &'a StarPlan, fact: &'a FactCols<'a>, cfg: &'a ExecConfig) -> Self {
         let ndims = plan.dims.len();
         let stats = ExecStats {
             probes: vec![0; ndims],
@@ -667,11 +669,12 @@ impl<'a> PipelineWorker<'a> {
             table_bytes: plan.dims.iter().map(|d| d.table.working_set_bytes()).collect(),
             ..Default::default()
         };
-        let buf_cap = cfg.batch.min(fact.len());
+        let buf_cap = cfg.batch.min(fact.source.rows());
         PipelineWorker {
             plan,
             fact,
             cfg,
+            cols: BatchCols::new(fact),
             acc: vec![0u64; plan.group_cells()],
             stats,
             strides: plan.gid_strides(),
@@ -684,28 +687,28 @@ impl<'a> PipelineWorker<'a> {
         }
     }
 
-    /// Process fact rows `lo..hi` batch by batch under a governance
-    /// context: the
+    /// Process morsel `idx` batch by batch under a governance context: the
     /// cancel/deadline check runs before every batch, which also brackets
     /// each radix-partition bucketing pass (partitioning is per-batch).
-    pub(crate) fn try_run_range(
+    pub(crate) fn try_run_morsel(
         &mut self,
-        lo: usize,
-        hi: usize,
+        idx: usize,
         ctx: &crate::govern::QueryCtx,
-    ) -> Result<(), crate::govern::Interrupt> {
+    ) -> Result<(), Halt> {
+        let (lo, hi, step) = self.fact.source.morsel(idx, self.cfg.batch);
         self.stats.rows_scanned += (hi - lo) as u64;
         let mut start = lo;
         while start < hi {
             ctx.check()?;
-            let end = (start + self.cfg.batch).min(hi);
-            self.run_batch(start, end);
+            let end = start.saturating_add(step).min(hi);
+            self.cols.select(idx, start, end);
+            self.run_batch(end - start)?;
             start = end;
         }
         Ok(())
     }
 
-    fn run_batch(&mut self, start: usize, end: usize) {
+    fn run_batch(&mut self, rows: usize) -> Result<(), Halt> {
         let (plan, fact, cfg) = (self.plan, self.fact, self.cfg);
         let ndims = plan.dims.len();
 
@@ -713,26 +716,14 @@ impl<'a> PipelineWorker<'a> {
         // contiguous batch; later ones refine the selection through the
         // same tuned Filter grid (Q1.x is the filter-heavy family).
         self.sel.clear();
-        if plan.filters.is_empty() {
-            self.sel.extend(start as u64..end as u64);
-        } else {
-            let f0 = &plan.filters[0];
-            let colv = &fact.col(&f0.col)[start..end];
-            let mut io = KernelIo::Filter {
-                input: colv,
-                lo: f0.lo,
-                hi: f0.hi,
-                base: start as u64,
-                sel: &mut self.sel,
-            };
-            assert!(
-                run_on(Family::Filter, cfg.filter, cfg.backend, &mut io),
-                "filter node {} not compiled",
-                cfg.filter
-            );
-            for f in &plan.filters[1..] {
+        if let Some((f0, rest)) = plan.filters.split_first() {
+            self.cols.first_filter(fact.filters[0], f0, cfg, &mut self.sel)?;
+            for (f, &slot) in rest.iter().zip(&fact.filters[1..]) {
+                if self.sel.is_empty() {
+                    break;
+                }
                 let mut io = KernelIo::FilterRefine {
-                    input: fact.col(&f.col),
+                    input: self.cols.col(slot, cfg)?,
                     lo: f.lo,
                     hi: f.hi,
                     sel: &mut self.sel,
@@ -743,14 +734,16 @@ impl<'a> PipelineWorker<'a> {
                     cfg.filter
                 );
             }
+            if hef_obs::metrics::enabled() {
+                use hef_obs::metrics::{add, observe, Hist, Metric};
+                add(Metric::FilterRowsIn, rows as u64);
+                add(Metric::FilterRowsOut, self.sel.len() as u64);
+                observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
+            }
+        } else {
+            self.sel.extend(0..rows as u64);
         }
         self.stats.rows_after_filter += self.sel.len() as u64;
-        if hef_obs::metrics::enabled() {
-            use hef_obs::metrics::{add, observe, Hist, Metric};
-            add(Metric::FilterRowsIn, (end - start) as u64);
-            add(Metric::FilterRowsOut, self.sel.len() as u64);
-            observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
-        }
 
         // 2. Dimension probes, most selective first; selection vector
         // shrinks after each (VIP pipeline, no full materialization).
@@ -760,8 +753,7 @@ impl<'a> PipelineWorker<'a> {
                 pays.push(Vec::new());
                 continue;
             }
-            let col = fact.col(&dim.fk_col);
-            take(col, &self.sel, &mut self.keys, cfg);
+            take(self.cols.col(fact.fks[di], cfg)?, &self.sel, &mut self.keys, cfg);
             if cfg.use_bloom {
                 // Semi-join pre-filter: drop definite misses before the
                 // (more expensive) table probe.
@@ -881,7 +873,24 @@ impl<'a> PipelineWorker<'a> {
                     *gid = gid.wrapping_add(pays[di][j].wrapping_mul(stride));
                 }
             }
-            materialize_measure(&plan.measure, fact, &self.sel, &mut self.vals, &mut self.keys, cfg);
+            // The measure columns, with `keys` as scratch for the second.
+            let [a, b] = fact.measure;
+            take(self.cols.col(a, cfg)?, &self.sel, &mut self.vals, cfg);
+            match plan.measure {
+                Measure::Sum(_) => {}
+                Measure::SumProduct(..) => {
+                    take(self.cols.col(b, cfg)?, &self.sel, &mut self.keys, cfg);
+                    for (v, &s) in self.vals.iter_mut().zip(self.keys.iter()) {
+                        *v = v.wrapping_mul(s);
+                    }
+                }
+                Measure::SumDiff(..) => {
+                    take(self.cols.col(b, cfg)?, &self.sel, &mut self.keys, cfg);
+                    for (v, &s) in self.vals.iter_mut().zip(self.keys.iter()) {
+                        *v = v.wrapping_sub(s);
+                    }
+                }
+            }
             if self.acc.len() == 1 {
                 // Ungrouped: the tuned aggregation kernel does the reduction.
                 let mut total = 0u64;
@@ -892,6 +901,7 @@ impl<'a> PipelineWorker<'a> {
                 grouped_accumulate(&mut self.acc, &self.gids, &self.vals);
             }
         }
+        Ok(())
     }
 
     pub(crate) fn finish(self) -> QueryOutput {
@@ -899,41 +909,10 @@ impl<'a> PipelineWorker<'a> {
     }
 }
 
-/// Evaluate the measure expression for the selected rows into `vals`
-/// (`scratch` is a reusable buffer for two-column measures).
-pub(crate) fn materialize_measure(
-    measure: &Measure,
-    fact: &Table,
-    sel: &[u64],
-    vals: &mut Vec<u64>,
-    scratch: &mut Vec<u64>,
-    cfg: &ExecConfig,
-) {
-    match measure {
-        Measure::Sum(c) => {
-            take(fact.col(c), sel, vals, cfg);
-        }
-        Measure::SumProduct(a, b) => {
-            take(fact.col(a), sel, vals, cfg);
-            take(fact.col(b), sel, scratch, cfg);
-            for (v, &s) in vals.iter_mut().zip(scratch.iter()) {
-                *v = v.wrapping_mul(s);
-            }
-        }
-        Measure::SumDiff(a, b) => {
-            take(fact.col(a), sel, vals, cfg);
-            take(fact.col(b), sel, scratch, cfg);
-            for (v, &s) in vals.iter_mut().zip(scratch.iter()) {
-                *v = v.wrapping_sub(s);
-            }
-        }
-    }
-}
-
 /// Selective projection through the tuned gather kernel (falls back to the
 /// scalar helper for off-grid nodes, which cannot happen for the shipped
 /// flavor configs).
-pub(crate) fn take(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
+fn take(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
     if hef_obs::metrics::enabled() {
         hef_obs::metrics::add(hef_obs::metrics::Metric::GatherRows, sel.len() as u64);
     }
@@ -1226,7 +1205,6 @@ mod tests {
 
     #[test]
     fn bad_plans_are_typed_errors_not_panics() {
-        use crate::parallel::ExecError;
         let (fact, mut plan) = toy();
         plan.measure = Measure::Sum("ghost".into());
         let err = try_execute_star(&plan, &fact, &ExecConfig::scalar()).unwrap_err();
@@ -1250,16 +1228,11 @@ mod tests {
             Err(ExecError::BadPlan { .. })
         ));
 
-        // The parallel entry point rejects up front too — no worker spawns.
+        // The parallel path rejects up front too — no worker spawns.
         let (fact, mut plan) = toy();
         plan.filters.push(RangeFilter { col: "nope".into(), lo: 0, hi: 1 });
         assert!(matches!(
-            crate::parallel::try_execute_star_parallel(
-                &plan,
-                &fact,
-                &ExecConfig::scalar(),
-                4
-            ),
+            try_execute_star(&plan, &fact, &ExecConfig::scalar().with_threads(4)),
             Err(ExecError::BadPlan { .. })
         ));
     }

@@ -27,24 +27,17 @@ use hef_kernels::MISS;
 use hef_storage::Table;
 
 use crate::ops::grouped_accumulate;
+use crate::parallel::MorselSource;
 use crate::star::{ExecStats, Measure, QueryOutput, StarPlan};
 
 /// Prefetch distance (slots ahead) of the probe pass.
 const PREFETCH_DIST: usize = 16;
 
-/// Execute a star plan in the Voila style: vector(1024), full
-/// materialization, prefetch = 1.
-pub fn execute_star_voila(plan: &StarPlan, fact: &Table, batch: usize) -> QueryOutput {
-    let mut w = VoilaWorker::new(plan, fact, batch);
-    w.run_range(0, fact.len());
-    w.finish()
-}
-
 /// One Voila-style worker: owns the dense materialization buffers, a private
 /// group-accumulator array, and private [`ExecStats`] — the same worker
-/// shape as `star::PipelineWorker`, so the morsel-driven parallel executor
-/// can drive the comparator too (keeping the paper's Figs. 8–10 comparison
-/// apples-to-apples at every thread count).
+/// shape as `star::PipelineWorker`, so the morsel scheduler can drive the
+/// comparator too (keeping the paper's Figs. 8–10 comparison
+/// apples-to-apples at every thread count). It reads resident columns only.
 pub(crate) struct VoilaWorker<'a> {
     plan: &'a StarPlan,
     fact: &'a Table,
@@ -96,25 +89,14 @@ impl<'a> VoilaWorker<'a> {
         }
     }
 
-    /// Process fact rows `lo..hi` batch by batch.
-    pub(crate) fn run_range(&mut self, lo: usize, hi: usize) {
-        self.stats.rows_scanned += (hi - lo) as u64;
-        let mut start = lo;
-        while start < hi {
-            let end = (start + self.batch).min(hi);
-            self.run_batch(start, end);
-            start = end;
-        }
-    }
-
-    /// [`VoilaWorker::run_range`] under a governance context: the
-    /// cancel/deadline check runs before every batch.
-    pub(crate) fn try_run_range(
+    /// Process in-memory morsel `idx` batch by batch under a governance
+    /// context: the cancel/deadline check runs before every batch.
+    pub(crate) fn try_run_morsel(
         &mut self,
-        lo: usize,
-        hi: usize,
+        idx: usize,
         ctx: &crate::govern::QueryCtx,
     ) -> Result<(), crate::govern::Interrupt> {
+        let (lo, hi, _) = MorselSource::Mem(self.fact).morsel(idx, self.batch);
         self.stats.rows_scanned += (hi - lo) as u64;
         let mut start = lo;
         while start < hi {

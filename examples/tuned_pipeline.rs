@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example tuned_pipeline`
 
 use hef::core::{tune_measured, Family, Registry};
-use hef::engine::{execute_star, execute_star_dynamic, ExecConfig};
+use hef::engine::{execute_star, try_execute_star_dynamic, CancelToken, ExecConfig};
 use hef::ssb::{build_plan, generate, QueryId};
 
 fn main() {
@@ -48,7 +48,9 @@ fn main() {
     let scalar_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(tuned_out.groups, scalar_out.groups);
 
-    let (dyn_out, selection) = execute_star_dynamic(&plan, &data.lineorder, 0.05);
+    let (dyn_out, selection) =
+        try_execute_star_dynamic(&plan, &data.lineorder, 0.05, &CancelToken::new())
+            .expect("dynamic execution failed");
     assert_eq!(dyn_out.groups, scalar_out.groups);
 
     println!("scalar engine:          {scalar_ms:8.2} ms");

@@ -23,13 +23,13 @@
 use hef::core::{initial_candidate, on_grid, optimize, templates, Registry, RegistryIssue};
 use hef::core::optimizer::{SimulatedCost, SpikedCost};
 use hef::engine::{
-    build_dimension, estimate_query_bytes, execute_star, try_execute_star,
-    try_execute_star_cancellable, try_execute_star_parallel, try_execute_star_with_retry,
-    with_governor, CancelToken, ExecConfig, ExecError, GovernorConfig, Measure, QueryOutput,
-    StarPlan, MIN_BATCH,
+    build_dimension, estimate_query_bytes, execute_star, run, try_execute_star,
+    try_execute_star_paged_ctx, try_execute_star_with_retry, with_governor, CancelToken,
+    ExecConfig, ExecError, GovernorConfig, Measure, MorselSource, PagedTable, QueryCtx,
+    QueryOutput, StarPlan, MIN_BATCH,
 };
 use hef::kernels::{Family, HybridConfig, P_AXIS, S_AXIS, V_AXIS};
-use hef::storage::{Column, Table};
+use hef::storage::{save_paged_column, Column, PageCache, Table};
 use hef::uarch::CpuModel;
 use hef_testutil::fault::{with_plan, FaultPlan};
 use hef_testutil::prop;
@@ -55,6 +55,40 @@ fn toy() -> (Table, StarPlan) {
     (fact, plan)
 }
 
+/// `toy()`'s fact table as paged columns of 4096 rows per page — the same
+/// five morsels (indices 0..=4) as the in-memory table — read through a
+/// 1 MiB cache. The column files are removed on drop.
+struct PagedToy {
+    table: PagedTable,
+    cache: PageCache,
+}
+
+impl PagedToy {
+    fn new(tag: &str) -> PagedToy {
+        let dir = std::env::temp_dir()
+            .join(format!("hef-fault-paged-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (fact, _) = toy();
+        for col in fact.columns() {
+            save_paged_column(col, &dir.join(format!("{}.hefc", col.name())), 4096)
+                .expect("write paged column");
+        }
+        let table = PagedTable::open_dir(&dir, "fact").expect("open paged table");
+        assert_eq!(table.page_count(), 5);
+        PagedToy { table, cache: PageCache::new(1 << 20) }
+    }
+
+    fn source(&self) -> MorselSource<'_> {
+        MorselSource::Paged { table: &self.table, cache: &self.cache }
+    }
+}
+
+impl Drop for PagedToy {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(self.table.dir()).ok();
+    }
+}
+
 /// Parse a `HEF_FAULT` spec (exercising the env grammar) into a plan,
 /// rejecting specs with typos so the tests can't silently test nothing.
 fn spec(s: &str) -> FaultPlan {
@@ -78,7 +112,7 @@ fn one_worker_panic_is_retried_bit_identical() {
     let cfg = ExecConfig::hybrid_default();
     let serial = serial_reference(&plan, &fact, &cfg);
     with_plan(spec("panic:morsel=2,times=1"), || {
-        let (out, report) = try_execute_star_parallel(&plan, &fact, &cfg, 4)
+        let (out, report) = try_execute_star(&plan, &fact, &cfg.with_threads(4))
             .expect("one lost worker must be recoverable");
         assert_eq!(out, serial, "recovery changed the result");
         assert_eq!(report.workers_lost, 1);
@@ -96,7 +130,7 @@ fn after_phase_panic_discards_poisoned_worker_state() {
     let cfg = ExecConfig::hybrid_default();
     let serial = serial_reference(&plan, &fact, &cfg);
     with_plan(spec("panic:morsel=1,times=1,after"), || {
-        let (out, report) = try_execute_star_parallel(&plan, &fact, &cfg, 4)
+        let (out, report) = try_execute_star(&plan, &fact, &cfg.with_threads(4))
             .expect("poisoned state must be replayable");
         assert_eq!(out, serial, "poisoned accumulator leaked into the result");
         assert_eq!(report.workers_lost, 1);
@@ -112,7 +146,7 @@ fn persistent_morsel_failure_degrades_to_serial() {
     let cfg = ExecConfig::hybrid_default();
     let serial = serial_reference(&plan, &fact, &cfg);
     with_plan(spec("panic:morsel=1,times=99"), || {
-        let (out, report) = try_execute_star_parallel(&plan, &fact, &cfg, 4)
+        let (out, report) = try_execute_star(&plan, &fact, &cfg.with_threads(4))
             .expect("serial fallback must complete");
         assert_eq!(out, serial, "serial fallback changed the result");
         assert!(report.degraded_to_serial);
@@ -128,14 +162,11 @@ fn exhausted_ladder_is_a_typed_error_not_an_abort() {
     let (fact, plan) = toy();
     let cfg = ExecConfig::hybrid_default();
     with_plan(spec("panic:morsel=0,times=99"), || {
-        let err = try_execute_star_parallel(&plan, &fact, &cfg, 4)
+        let err = try_execute_star(&plan, &fact, &cfg.with_threads(4))
             .expect_err("nothing can run morsel 0; this must be an error");
         let msg = err.to_string();
         assert!(msg.contains("toy"), "error names the query: {msg}");
         assert!(msg.contains("injected panic"), "error carries the panic payload: {msg}");
-
-        // The same contract through the public entry point.
-        assert!(try_execute_star(&plan, &fact, &cfg.with_threads(4)).is_err());
     });
 }
 
@@ -150,6 +181,26 @@ fn faulted_run_through_public_entry_point_reports_recovery() {
         assert_eq!(out, serial);
         assert_eq!(report.threads, 4);
         assert!(!report.is_clean());
+    });
+}
+
+#[test]
+fn paged_worker_panic_is_requeued_bit_identical() {
+    let (fact, plan) = toy();
+    let paged = PagedToy::new("panic");
+    let cfg = ExecConfig::hybrid_default();
+    let serial = serial_reference(&plan, &fact, &cfg);
+    with_plan(spec("panic:morsel=2,times=1"), || {
+        let (out, report) =
+            run(&plan, paged.source(), &cfg.with_threads(4), &CancelToken::new())
+                .expect("a lost paged worker must be recoverable");
+        assert_eq!(out.groups, serial.groups, "page recovery changed the result");
+        assert_eq!(out.stats, serial.stats);
+        assert!(report.workers_lost >= 1);
+        assert!(report.morsels_retried >= 1);
+        // Five pages, plus the completed pages the lost worker replayed.
+        let replayed = report.morsels_retried - report.workers_lost;
+        assert_eq!(report.morsels_completed, 5 + replayed);
     });
 }
 
@@ -441,7 +492,7 @@ fn governance_cancel_during_partition_build_returns_budget_to_zero() {
     let (fact, plan) = partitioned();
     let cfg = ExecConfig::hybrid_default().with_threads(4);
     // A finite budget so the admission actually charges bytes.
-    let budget = estimate_query_bytes(&plan, &fact, &cfg, 4) * 4;
+    let budget = estimate_query_bytes(&plan, MorselSource::Mem(&fact), &cfg, 4) * 4;
     with_governor(GovernorConfig { max_queries: 0, mem_budget: budget }, |gov| {
         with_plan(spec("slow_morsel:morsel=1,ms=500,times=8"), || {
             let cancel = CancelToken::new();
@@ -451,7 +502,7 @@ fn governance_cancel_during_partition_build_returns_budget_to_zero() {
                     std::thread::sleep(std::time::Duration::from_millis(10));
                     canceller.cancel();
                 });
-                let err = try_execute_star_cancellable(&plan, &fact, &cfg, &cancel)
+                let err = run(&plan, MorselSource::Mem(&fact), &cfg, &cancel)
                     .expect_err("cancel must surface");
                 match err {
                     ExecError::Cancelled { query, .. } => assert_eq!(query, "bigjoin"),
@@ -473,7 +524,7 @@ fn governance_degraded_run_completes_bit_identical() {
     let reference = serial_reference(&plan, &fact, &ExecConfig::scalar());
     let minimal = estimate_query_bytes(
         &plan,
-        &fact,
+        MorselSource::Mem(&fact),
         &ExecConfig::hybrid_default().with_batch(MIN_BATCH),
         1,
     );
@@ -502,14 +553,14 @@ fn governance_rejected_admission_retries_with_backoff_until_slot_frees() {
             let mut held_cfg = cfg;
             let mut held_threads = 2;
             let held =
-                gov.admit(&plan, &fact, &mut held_cfg, &mut held_threads).expect("first admit");
+                gov.admit(&plan, MorselSource::Mem(&fact), &mut held_cfg, &mut held_threads).expect("first admit");
             std::thread::scope(|s| {
                 s.spawn(move || {
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     drop(held);
                 });
                 let (out, _) =
-                    try_execute_star_with_retry(&plan, &fact, &cfg, &CancelToken::new(), 8)
+                    try_execute_star_with_retry(&plan, MorselSource::Mem(&fact), &cfg, &CancelToken::new(), 8)
                         .expect("retry must succeed once the slot frees");
                 // `with_plan` is not re-entrant: compute the reference here,
                 // inside the same guard scope.
@@ -519,8 +570,8 @@ fn governance_rejected_admission_retries_with_backoff_until_slot_frees() {
             let mut held_cfg = cfg;
             let mut held_threads = 2;
             let held2 =
-                gov.admit(&plan, &fact, &mut held_cfg, &mut held_threads).expect("re-admit");
-            let err = try_execute_star_with_retry(&plan, &fact, &cfg, &CancelToken::new(), 0)
+                gov.admit(&plan, MorselSource::Mem(&fact), &mut held_cfg, &mut held_threads).expect("re-admit");
+            let err = try_execute_star_with_retry(&plan, MorselSource::Mem(&fact), &cfg, &CancelToken::new(), 0)
                 .expect_err("no retries, full queue");
             match err {
                 ExecError::Rejected { retry_after_ms, .. } => assert!(retry_after_ms >= 1),
@@ -533,12 +584,132 @@ fn governance_rejected_admission_retries_with_backoff_until_slot_frees() {
 }
 
 #[test]
+fn governance_override_is_scoped_to_the_installing_thread() {
+    // Another thread's query must neither be admitted by this thread's
+    // governor nor touch its accounting: with the override's only slot held
+    // here, a query on another thread still runs, and the override's count
+    // and budget stay exactly as this thread left them.
+    let (fact, plan) = toy();
+    let cfg = ExecConfig::hybrid_default().with_threads(2);
+    let budget = estimate_query_bytes(&plan, MorselSource::Mem(&fact), &cfg, 2) * 4;
+    with_plan(FaultPlan::default(), || {
+        with_governor(GovernorConfig { max_queries: 1, mem_budget: budget }, |gov| {
+            let (mut held_cfg, mut held_threads) = (cfg, 2);
+            let held = gov
+                .admit(&plan, MorselSource::Mem(&fact), &mut held_cfg, &mut held_threads)
+                .expect("first admit");
+            let used = gov.budget().used();
+            assert!(used > 0);
+            let other = std::thread::scope(|s| {
+                s.spawn(|| try_execute_star(&plan, &fact, &cfg)).join().expect("no panic")
+            });
+            assert!(other.is_ok(), "another thread's query met this override: {other:?}");
+            assert_eq!(gov.active_queries(), 1);
+            assert_eq!(gov.budget().used(), used);
+            drop(held);
+            assert_eq!((gov.active_queries(), gov.budget().used()), (0, 0));
+        });
+    });
+}
+
+#[test]
+fn governance_paged_query_is_admitted_and_returns_budget_to_zero() {
+    let (fact, plan) = toy();
+    let paged = PagedToy::new("admit");
+    let cfg = ExecConfig::hybrid_default().with_threads(2);
+    let reference = serial_reference(&plan, &fact, &cfg);
+    let estimate = estimate_query_bytes(&plan, paged.source(), &cfg, 2);
+    assert!(
+        estimate > paged.cache.capacity(),
+        "the paged estimate must include the page cache"
+    );
+    with_plan(FaultPlan::default(), || {
+        // Admitted and charged; the charge is released afterwards.
+        with_governor(GovernorConfig { max_queries: 0, mem_budget: estimate * 2 }, |gov| {
+            let out = try_execute_star_paged_ctx(
+                &plan,
+                &paged.table,
+                &cfg,
+                &paged.cache,
+                &QueryCtx::unbounded(),
+            )
+            .expect("admitted paged query");
+            assert_eq!(out.groups, reference.groups);
+            assert_eq!((gov.active_queries(), gov.budget().used()), (0, 0));
+        });
+        // A budget the cache alone overflows: the ladder cannot shrink the
+        // cache, so the paged query is a typed rejection.
+        with_governor(
+            GovernorConfig { max_queries: 0, mem_budget: paged.cache.capacity() },
+            |gov| {
+                let err = run(&plan, paged.source(), &cfg, &CancelToken::new())
+                    .expect_err("cache capacity exceeds the budget");
+                assert!(matches!(err, ExecError::Rejected { .. }), "{err}");
+                assert_eq!((gov.active_queries(), gov.budget().used()), (0, 0));
+            },
+        );
+        // A full admission queue rejects paged queries too.
+        with_governor(GovernorConfig { max_queries: 1, mem_budget: 0 }, |gov| {
+            let (mut held_cfg, mut held_threads) = (cfg, 2);
+            let held = gov
+                .admit(&plan, paged.source(), &mut held_cfg, &mut held_threads)
+                .expect("first admit");
+            let err = run(&plan, paged.source(), &cfg, &CancelToken::new())
+                .expect_err("queue is full");
+            assert!(matches!(err, ExecError::Rejected { .. }), "{err}");
+            drop(held);
+            assert_eq!(gov.active_queries(), 0);
+        });
+    });
+}
+
+#[test]
+fn governance_paged_deadline_mid_page_is_typed() {
+    let (_, plan) = toy();
+    let paged = PagedToy::new("deadline");
+    for threads in [1usize, 4] {
+        with_governor(GovernorConfig { max_queries: 0, mem_budget: 64 << 20 }, |gov| {
+            // Every page stalls 500ms (interruptibly); the 15ms deadline —
+            // from the config at 4 threads, from the caller's context at 1 —
+            // fires inside a stall.
+            with_plan(spec("slow_morsel:morsel=0,ms=500,times=8"), || {
+                let start = std::time::Instant::now();
+                let err = if threads == 1 {
+                    let ctx = QueryCtx::new(CancelToken::new(), 15);
+                    let cfg = ExecConfig::hybrid_default().with_threads(1);
+                    try_execute_star_paged_ctx(&plan, &paged.table, &cfg, &paged.cache, &ctx)
+                        .expect_err("a 15ms deadline cannot survive a 500ms stall")
+                } else {
+                    let cfg = ExecConfig::hybrid_default().with_threads(4).with_deadline_ms(15);
+                    run(&plan, paged.source(), &cfg, &CancelToken::new())
+                        .expect_err("a 15ms deadline cannot survive 500ms stalls")
+                };
+                match err {
+                    ExecError::DeadlineExceeded { query, deadline_ms, .. } => {
+                        assert_eq!(query, "toy");
+                        assert_eq!(deadline_ms, 15);
+                    }
+                    other => panic!("expected DeadlineExceeded at {threads} threads, got {other}"),
+                }
+                assert!(
+                    start.elapsed() < std::time::Duration::from_millis(2000),
+                    "deadline took {:?} to surface",
+                    start.elapsed()
+                );
+            });
+            assert_eq!((gov.active_queries(), gov.budget().used()), (0, 0));
+        });
+    }
+}
+
+#[test]
 fn governance_any_fault_schedule_is_typed_never_hung() {
     // Property: under ANY combination of slow_morsel / mem_spike / panic
-    // faults, with any deadline and cancellation timing, a governed query
-    // either completes or fails with a typed error — never a hang (watchdog)
-    // and never an abort (panic = channel disconnect) — and the budget
-    // returns to zero afterwards.
+    // faults, with any deadline and cancellation timing, over either source,
+    // a governed query either completes or fails with a typed error — never
+    // a hang (watchdog) and never an abort (panic = channel disconnect) —
+    // and the budget returns to zero afterwards.
+    let paged = std::sync::Arc::new(PagedToy::new("any-schedule"));
     prop::check_with(
         &prop::Config::with_cases(24),
         "governed faults ⇒ typed outcome, zero budget, no hang",
@@ -572,17 +743,20 @@ fn governance_any_fault_schedule_is_typed_never_hung() {
                 rng.gen_range(0..2u32) == 1,                    // cancel mid-run?
                 [1usize, 2, 4][rng.gen_range(0..3usize)],    // threads
                 rng.gen_range(0..3u32),                      // admission retries
+                rng.gen_range(0..2u32) == 1,                 // paged source?
             )
         },
         |case| {
-            let (spec_str, deadline_ms, cancel_mid, threads, retries) = case.clone();
+            let (spec_str, deadline_ms, cancel_mid, threads, retries, use_paged) = case.clone();
             let (tx, rx) = std::sync::mpsc::channel();
+            let paged = paged.clone();
             std::thread::spawn(move || {
                 let (fact, plan) = toy();
+                let source = if use_paged { paged.source() } else { MorselSource::Mem(&fact) };
                 let cfg = ExecConfig::hybrid_default()
                     .with_threads(threads)
                     .with_deadline_ms(deadline_ms);
-                let budget = estimate_query_bytes(&plan, &fact, &cfg, threads) * 2;
+                let budget = estimate_query_bytes(&plan, source, &cfg, threads) * 2;
                 let verdict =
                     with_governor(GovernorConfig { max_queries: 2, mem_budget: budget }, |gov| {
                         let faults = if spec_str.is_empty() {
@@ -603,7 +777,7 @@ fn governance_any_fault_schedule_is_typed_never_hung() {
                                     });
                                 }
                                 try_execute_star_with_retry(
-                                    &plan, &fact, &cfg, &cancel, retries,
+                                    &plan, source, &cfg, &cancel, retries,
                                 )
                             })
                         });

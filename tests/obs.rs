@@ -16,9 +16,12 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use hef::engine::{build_dimension, try_execute_star, ExecConfig, Measure, StarPlan};
+use hef::engine::{
+    build_dimension, run, try_execute_star, CancelToken, ExecConfig, Measure, MorselSource,
+    PagedTable, RangeFilter, StarPlan,
+};
 use hef::obs::{check_trace, trace, Level, TraceReport};
-use hef::storage::{Column, Table};
+use hef::storage::{save_paged_column, Column, PageCache, Table};
 use hef_testutil::prop;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -152,4 +155,57 @@ fn counter_deltas_are_identical_across_identical_runs() {
     assert!(deltas[0].get(metrics::Metric::MorselsClaimed) > 0);
     assert!(deltas[0].get(metrics::Metric::ProbeKeys) > 0);
     metrics::disable();
+}
+
+#[test]
+fn kernel_counters_reconcile_with_exec_stats() {
+    // Every kernel row counter must agree with the ExecStats of the same
+    // execution — filter in/out (charged only when the plan has a fact
+    // filter), probe keys/hits, aggregated rows — on a filtered and a
+    // filterless plan, over both sources, serial and scheduled.
+    let _g = lock();
+    use hef::obs::metrics::{self, Metric};
+
+    let (fact, plan) = toy(24_000);
+    let mut filtered = plan.clone();
+    filtered.filters.push(RangeFilter { col: "rev".into(), lo: 3, hi: 9 });
+    let dir = std::env::temp_dir().join(format!("hef-obs-counters-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for col in fact.columns() {
+        save_paged_column(col, &dir.join(format!("{}.hefc", col.name())), 4096)
+            .expect("write paged column");
+    }
+    let paged = PagedTable::open_dir(&dir, "fact").expect("open paged table");
+    let cache = PageCache::new(1 << 20);
+
+    metrics::enable();
+    for plan in [&plan, &filtered] {
+        let sources = [
+            ("mem", MorselSource::Mem(&fact)),
+            ("paged", MorselSource::Paged { table: &paged, cache: &cache }),
+        ];
+        for (src, source) in sources {
+            for threads in [1usize, 2] {
+                let cfg = ExecConfig::hybrid_default().with_threads(threads);
+                let before = metrics::snapshot();
+                let (out, _) = run(plan, source, &cfg, &CancelToken::new()).expect("clean run");
+                let d = metrics::snapshot().delta(&before);
+                let st = &out.stats;
+                let (filter_in, filter_out) = if plan.filters.is_empty() {
+                    (0, 0)
+                } else {
+                    (st.rows_scanned, st.rows_after_filter)
+                };
+                let label = format!("{} filters, {src}, {threads} thread(s)", plan.filters.len());
+                assert_eq!(d.get(Metric::FilterRowsIn), filter_in, "filter in: {label}");
+                assert_eq!(d.get(Metric::FilterRowsOut), filter_out, "filter out: {label}");
+                assert_eq!(d.get(Metric::ProbeKeys), st.probes.iter().sum::<u64>(), "{label}");
+                assert_eq!(d.get(Metric::ProbeHits), st.hits.iter().sum::<u64>(), "{label}");
+                assert_eq!(d.get(Metric::AggRows), st.rows_aggregated, "agg rows: {label}");
+                assert!(st.rows_aggregated > 0, "{label}");
+            }
+        }
+    }
+    metrics::disable();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 //! flavor, and every tested thread count, including empty and sub-morsel
 //! fact tables.
 
-use hef::engine::{execute_star, execute_star_parallel, resolve_threads, ExecConfig, Flavor};
+use hef::engine::{execute_star, resolve_threads, ExecConfig, Flavor};
 use hef::ssb::{build_plan, generate, QueryId};
 
 fn thread_counts() -> Vec<usize> {
@@ -24,7 +24,7 @@ fn parallel_bit_identical_to_serial_all_queries_all_flavors() {
             let cfg = ExecConfig::for_flavor(flavor).with_threads(1);
             let serial = execute_star(&plan, &data.lineorder, &cfg);
             for threads in thread_counts() {
-                let par = execute_star_parallel(&plan, &data.lineorder, &cfg, threads);
+                let par = execute_star(&plan, &data.lineorder, &cfg.with_threads(threads));
                 let label = format!("{} × {} × {threads} threads", q.name(), flavor.name());
                 assert_eq!(par.groups, serial.groups, "groups: {label}");
                 assert_eq!(par.results(), serial.results(), "results(): {label}");
@@ -47,7 +47,7 @@ fn empty_and_sub_morsel_fact_tables() {
             let cfg = ExecConfig::for_flavor(flavor).with_threads(1);
             let serial = execute_star(&plan, &head, &cfg);
             for threads in [2usize, 4, 16] {
-                let par = execute_star_parallel(&plan, &head, &cfg, threads);
+                let par = execute_star(&plan, &head, &cfg.with_threads(threads));
                 assert_eq!(
                     par, serial,
                     "{} rows={rows} threads={threads}",
@@ -84,7 +84,7 @@ fn multi_filter_queries_stay_identical_in_parallel() {
             let cfg = ExecConfig::for_flavor(flavor).with_threads(1);
             let serial = execute_star(&plan, &data.lineorder, &cfg);
             for threads in [2usize, 5] {
-                let par = execute_star_parallel(&plan, &data.lineorder, &cfg, threads);
+                let par = execute_star(&plan, &data.lineorder, &cfg.with_threads(threads));
                 assert_eq!(par, serial, "{} × {threads}", q.name());
             }
         }

@@ -8,7 +8,7 @@
 
 use hef::core::{optimizer, templates, translate, HybridConfig};
 use hef::engine::{
-    build_dimension, execute_star, execute_star_parallel, ExecConfig, Measure, StarPlan,
+    build_dimension, execute_star, ExecConfig, Measure, StarPlan,
 };
 use hef::hid::Backend;
 use hef::kernels::{run_on, Family, KernelIo, ProbeTable, P_AXIS, S_AXIS, V_AXIS};
@@ -257,9 +257,9 @@ fn parallel_execution_is_schedule_invariant() {
             let mut cfg = ExecConfig::hybrid_default().with_threads(1);
             cfg.batch = *batch;
             let serial = execute_star(&plan, &fact, &cfg);
-            let a = execute_star_parallel(&plan, &fact, &cfg, *t1);
-            let b = execute_star_parallel(&plan, &fact, &cfg, *t2);
-            let a2 = execute_star_parallel(&plan, &fact, &cfg, *t1);
+            let a = execute_star(&plan, &fact, &cfg.with_threads(*t1));
+            let b = execute_star(&plan, &fact, &cfg.with_threads(*t2));
+            let a2 = execute_star(&plan, &fact, &cfg.with_threads(*t1));
             prop_assert_eq!(&a.groups, &serial.groups);
             prop_assert_eq!(&a.stats, &serial.stats);
             prop_assert_eq!(&b.groups, &serial.groups);
