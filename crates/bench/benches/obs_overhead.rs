@@ -23,8 +23,8 @@
 //! built from it every round must stay within 2% of the dark run — the
 //! observatory must be cheap enough to leave on.
 
-use hef_bench::config::tuned_hybrid;
-use hef_engine::execute_star;
+use hef_bench::config::exec_config;
+use hef_engine::{execute_star, Flavor};
 use hef_obs::metrics::{add, observe, Hist, Metric};
 use hef_ssb::{build_plan, generate, QueryId};
 use hef_testutil::time_best_of;
@@ -151,7 +151,7 @@ fn main() {
     // Scale check on a real query: tracing off vs a fine in-memory capture.
     let data = generate(0.01, 0xB5);
     let plan = build_plan(&data, QueryId::Q2_1);
-    let cfg = tuned_hybrid().with_threads(2);
+    let cfg = exec_config(Flavor::Hybrid).with_threads(2);
     let off = time_best_of(5, || {
         std::hint::black_box(execute_star(&plan, &data.lineorder, &cfg));
     });

@@ -15,9 +15,9 @@
 //! scale factor, few samples, one query — it exercises the full measurement
 //! path and asserts parallel/serial output equality without burning CI time.
 
-use hef_bench::config::tuned_hybrid;
+use hef_bench::config::exec_config;
 use hef_bench::report::{f2, TableWriter};
-use hef_engine::{execute_star, resolve_threads, try_execute_star, ExecReport};
+use hef_engine::{execute_star, resolve_threads, try_execute_star, ExecReport, Flavor};
 use hef_ssb::{build_plan, generate, QueryId};
 use hef_testutil::bench::Bench;
 
@@ -61,7 +61,7 @@ fn main() {
         let mut outputs = Vec::with_capacity(counts.len());
         let mut recovery = ExecReport::default();
         for &t in &counts {
-            let cfg = tuned_hybrid().with_threads(t);
+            let cfg = exec_config(Flavor::Hybrid).with_threads(t);
             let (out, report) = try_execute_star(&plan, &data.lineorder, &cfg)
                 .unwrap_or_else(|e| panic!("{}: {e}", q.name()));
             if !report.is_clean() {

@@ -16,7 +16,7 @@
 //!   ablation-bloom           Bloom semi-join pre-filtering vs plain probes
 //!   tune                     run the measured HEF tuner on this machine
 //!   tune-pipeline            joint (v,s,p,f) whole-pipeline tuning on the
-//!                            modeled Xeons; writes registry v3 pipeline
+//!                            modeled Xeons; writes registry pipeline
 //!                            rows to results/tuned.txt and a measured
 //!                            per-op-vs-joint snapshot (--query qNN for one
 //!                            query, --model silver-4110|gold-6240r;
@@ -61,7 +61,7 @@
 //! run as 0.25/0.5/1.25 by default — the same 1:2:5 ratio, sized for this
 //! machine; pass `--sf` to change.
 
-use hef_bench::config::{exec_config, tuned_hybrid};
+use hef_bench::config::exec_config;
 use hef_bench::counters::{issue_histogram, model_kernel, model_query};
 use hef_bench::measure::{kernel_input, measure_kernel, measure_query, measure_query_reported};
 use hef_bench::report::{eng, f2, TableWriter};
@@ -426,7 +426,7 @@ fn ablation_bloom(opts: &Opts) {
     for q in [hef_ssb::QueryId::Q2_3, hef_ssb::QueryId::Q3_3, hef_ssb::QueryId::Q3_4,
               hef_ssb::QueryId::Q2_1, hef_ssb::QueryId::Q4_2] {
         let plan = build_plan(&data, q);
-        let cfg = tuned_hybrid();
+        let cfg = exec_config(Flavor::Hybrid);
         let (plain, out_plain) = measure_query(&plan, &data.lineorder, &cfg, opts.repeats);
         let mut bcfg = cfg;
         bcfg.use_bloom = true;
@@ -492,7 +492,7 @@ fn tune(opts: &Opts) {
     // The probe family gets a second, four-dimensional pass: `(v, s, p)`
     // plus the prefetch depth `f`, against a DRAM-resident build side so
     // the depth axis has misses to hide. Writing it through
-    // `insert_tuned_probe` upgrades the saved registry to the v2 format.
+    // `insert_tuned_probe` records it as the probe line's fourth column.
     let tp = hef_core::tune_probe_measured(1 << 21, n.min(1 << 18));
     println!("  {}", tp.describe());
     reg.insert_tuned_probe(&tp);
@@ -536,15 +536,13 @@ fn model_by_name(name: &str) -> CpuModel {
 /// `hef_core::pipeline`): per query, lower the star plan into a
 /// [`hef_core::PipelineSpec`] via one cheap stats run, tune each kernel
 /// family per-op on the simulator as the baseline composition, then run the
-/// joint search seeded from it. Results are persisted as registry v3
+/// joint search seeded from it. Results are persisted as registry
 /// pipeline rows in `results/tuned.txt` (keyed by plan fingerprint, for the
 /// first `--model`, default silver-4110), and the per-op vs joint configs
 /// are wall-clock measured into `results/bench_pipeline.json` with a trend
 /// diff against the previous archive.
 fn tune_pipeline(opts: &Opts) {
-    use hef_bench::pipeline::{
-        joint_exec_config, per_op_exec_config, pipeline_spec, pipeline_spec_paged,
-    };
+    use hef_bench::pipeline::{joint_exec_config, pipeline_spec, pipeline_spec_paged};
     use hef_bench::BenchSnapshot;
     use hef_engine::{execute_star, ExecConfig};
     use hef_testutil::bench::Group;
@@ -647,7 +645,7 @@ fn tune_pipeline(opts: &Opts) {
         "\njoint ≤ per-op composition on {dominated}/{cases} (strictly better on {strict})"
     );
 
-    // Persist registry v3: pipeline rows keyed by plan fingerprint, layered
+    // Persist pipeline rows keyed by plan fingerprint, layered
     // onto whatever per-op registry `repro tune` already wrote (the
     // degradation ladder's lower rungs).
     std::fs::create_dir_all("results").ok();
@@ -709,7 +707,7 @@ fn tune_pipeline(opts: &Opts) {
     };
     for (q, plan, entry) in &tuned {
         let group = format!("pipeline_{}", q.name().replace('.', "_"));
-        let per_cfg = per_op_exec_config(&seed_regs[0]);
+        let per_cfg = ExecConfig::tuned(&seed_regs[0]);
         let joint_cfg = joint_exec_config(&seed_regs[0], entry);
         let mut g = Group::new(group.clone()).throughput_elems(rows).samples(samples);
         let s = g.bench("per_op", || run(plan, &per_cfg));
@@ -923,9 +921,13 @@ fn run_query(q: QueryId, opts: &Opts) {
     }
 
     let mut t = TableWriter::new(vec!["flavor", "ms", "threads", "retried", "lost", "serial"]);
+    let mut pipeline_row = None;
     for flavor in Flavor::ALL {
         let cfg = exec_config(flavor).with_threads(threads);
         let (m, _out, report) = measure_query_reported(&plan, &data.lineorder, &cfg, opts.repeats);
+        if flavor == Flavor::Hybrid {
+            pipeline_row = report.pipeline_row;
+        }
         t.row(vec![
             flavor.name().to_string(),
             f2(m.ms()),
@@ -936,6 +938,10 @@ fn run_query(q: QueryId, opts: &Opts) {
         ]);
     }
     t.print();
+    match pipeline_row {
+        Some(fp) => println!("pipeline row: {fp:016x}"),
+        None => println!("pipeline row: none"),
+    }
     // Replay-time calibration: re-measure each registry node so drift since
     // tune time (thermal state, other tenants, a different machine) shows
     // up next to the recorded `# drift:` rows.

@@ -8,32 +8,12 @@
 
 use hef_core::Registry;
 use hef_engine::{ExecConfig, Flavor};
-use hef_kernels::Family;
 
-/// Hybrid config with per-family nodes from the warmed registry (falling
-/// back to the paper's SSB optimum `(1, 1, 3)` for untuned families). A
-/// registry carrying a tuned probe prefetch depth (`f`, the v2 column)
-/// flows into [`ExecConfig::with_probe_prefetch`].
-pub fn tuned_hybrid() -> ExecConfig {
-    let reg = Registry::warm();
-    let cfg = ExecConfig::hybrid_tuned(
-        reg.get_or_default(Family::Filter),
-        reg.get_or_default(Family::Probe),
-        reg.get_or_default(Family::AggSum),
-        reg.get_or_default(Family::Gather),
-    )
-    .with_decode(reg.get_or_default(Family::Decode));
-    match reg.get_prefetch(Family::Probe) {
-        Some(f) => cfg.with_probe_prefetch(f),
-        None => cfg,
-    }
-}
-
-/// The config benches run for a flavor: registry-tuned nodes for Hybrid,
-/// the fixed baselines for everything else.
+/// The config benches run for a flavor: [`ExecConfig::tuned`] from the
+/// warmed registry for Hybrid, the fixed baselines for everything else.
 pub fn exec_config(flavor: Flavor) -> ExecConfig {
     match flavor {
-        Flavor::Hybrid => tuned_hybrid(),
+        Flavor::Hybrid => ExecConfig::tuned(Registry::warm()),
         _ => ExecConfig::for_flavor(flavor),
     }
 }
@@ -41,6 +21,7 @@ pub fn exec_config(flavor: Flavor) -> ExecConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hef_kernels::Family;
 
     #[test]
     fn hybrid_flavor_comes_from_registry() {

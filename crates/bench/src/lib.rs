@@ -19,10 +19,10 @@ pub mod report;
 pub mod snapshot;
 pub mod trend;
 
-pub use config::{exec_config, tuned_hybrid};
+pub use config::exec_config;
 pub use counters::{model_kernel, model_query, QueryCounters};
 pub use measure::{measure_kernel, measure_query, Measured};
-pub use pipeline::{joint_exec_config, per_op_exec_config, pipeline_spec};
+pub use pipeline::{joint_exec_config, pipeline_spec};
 pub use report::TableWriter;
 pub use snapshot::BenchSnapshot;
 pub use trend::{TrendReport, TrendSeries};

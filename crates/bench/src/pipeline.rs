@@ -63,28 +63,11 @@ pub fn pipeline_spec_paged(plan: &StarPlan, stats: &ExecStats) -> PipelineSpec {
     spec
 }
 
-/// The per-op-tuned execution config an explicit registry implies: the
-/// baseline the joint plan is measured against. Same shape as
-/// [`crate::tuned_hybrid`] but from a caller-supplied registry instead of
-/// the warmed process-global one.
-pub fn per_op_exec_config(reg: &Registry) -> ExecConfig {
-    let cfg = ExecConfig::hybrid_tuned(
-        reg.get_or_default(Family::Filter),
-        reg.get_or_default(Family::Probe),
-        reg.get_or_default(Family::AggSum),
-        reg.get_or_default(Family::Gather),
-    )
-    .with_decode(reg.get_or_default(Family::Decode));
-    match reg.get_prefetch(Family::Probe) {
-        Some(f) => cfg.with_probe_prefetch(f),
-        None => cfg,
-    }
-}
-
 /// The execution config a joint pipeline row implies: the per-op baseline
-/// with the tuned stage nodes and shared prefetch depth overlaid.
+/// ([`ExecConfig::tuned`]) with the tuned stage nodes and shared prefetch
+/// depth overlaid.
 pub fn joint_exec_config(reg: &Registry, entry: &PipelineEntry) -> ExecConfig {
-    apply_pipeline_entry(per_op_exec_config(reg), entry)
+    apply_pipeline_entry(ExecConfig::tuned(reg), entry)
 }
 
 #[cfg(test)]
@@ -126,7 +109,7 @@ mod tests {
     #[test]
     fn joint_config_overlays_per_op_baseline() {
         let reg = Registry::default();
-        let base = per_op_exec_config(&reg);
+        let base = ExecConfig::tuned(&reg);
         let entry = PipelineEntry {
             stages: vec![(Family::Probe, hef_kernels::HybridConfig::new(2, 1, 2))],
             f: 16,

@@ -30,7 +30,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::parallel::{ExecError, ExecReport, MorselSource};
@@ -363,15 +363,13 @@ fn env_bytes(key: &str) -> usize {
     }
 }
 
-/// The process-wide query governor: admission control, the memory budget,
-/// and the memo of plan fingerprints whose tuned pipeline overlay was
-/// invalidated by degradation.
+/// The process-wide query governor: admission control and the memory
+/// budget.
 #[derive(Debug)]
 pub struct Governor {
     cfg: GovernorConfig,
     budget: BudgetTracker,
     active: AtomicUsize,
-    degraded_fps: Mutex<Vec<u64>>,
 }
 
 thread_local! {
@@ -400,7 +398,6 @@ impl Governor {
             cfg,
             budget: BudgetTracker::new(cfg.mem_budget),
             active: AtomicUsize::new(0),
-            degraded_fps: Mutex::new(Vec::new()),
         }
     }
 
@@ -423,23 +420,6 @@ impl Governor {
     /// Queries currently admitted and not yet finished.
     pub fn active_queries(&self) -> usize {
         self.active.load(Ordering::Acquire)
-    }
-
-    /// Record that `fp`'s plan was degraded: its tuned `HEF_PIPELINE`
-    /// overlay is no longer valid (it was tuned for the un-degraded shape)
-    /// and must not be re-applied from the one-slot registry cache.
-    fn note_degraded_fingerprint(&self, fp: u64) {
-        let mut fps = self.degraded_fps.lock().unwrap_or_else(|e| e.into_inner());
-        if !fps.contains(&fp) {
-            fps.push(fp);
-        }
-        crate::pipeline_plan::invalidate_cache();
-    }
-
-    /// `true` when `fp`'s tuned pipeline overlay was invalidated by a
-    /// governance degradation.
-    pub fn fingerprint_degraded(&self, fp: u64) -> bool {
-        self.degraded_fps.lock().unwrap_or_else(|e| e.into_inner()).contains(&fp)
     }
 
     /// Admit a query, degrading `cfg`/`threads` under memory pressure (see
@@ -484,7 +464,6 @@ impl Governor {
                 let action = if cfg.partition && plan.dims.iter().any(|d| d.parts.is_some())
                 {
                     cfg.partition = false;
-                    self.note_degraded_fingerprint(plan.fingerprint());
                     DegradeAction::DropPartition
                 } else if cfg.batch > MIN_BATCH {
                     let from = cfg.batch;
@@ -789,16 +768,6 @@ mod tests {
         let ctx = QueryCtx::new(token, 1);
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(ctx.check(), Err(Interrupt::Cancelled));
-    }
-
-    #[test]
-    fn degraded_fingerprint_is_memoized() {
-        let gov = Arc::new(Governor::new(GovernorConfig::default()));
-        assert!(!gov.fingerprint_degraded(42));
-        gov.note_degraded_fingerprint(42);
-        gov.note_degraded_fingerprint(42);
-        assert!(gov.fingerprint_degraded(42));
-        assert!(!gov.fingerprint_degraded(43));
     }
 
     #[test]

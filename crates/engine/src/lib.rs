@@ -28,6 +28,7 @@ pub mod paged;
 pub mod parallel;
 pub mod pipeline_plan;
 pub mod plan;
+pub mod resolve;
 pub mod star;
 pub mod voila;
 
@@ -36,12 +37,11 @@ pub use govern::{
     estimate_query_bytes, try_execute_star_with_retry, with_governor, BudgetTracker, CancelToken,
     DegradeAction, Governor, GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
 };
-pub use ops::{gather_keys, grouped_accumulate};
+pub use ops::grouped_accumulate;
 pub use paged::{try_execute_star_paged_ctx, PagedTable, PagedTableError};
-pub use parallel::{
-    resolve_threads, resolve_threads_governed, run, ExecError, ExecReport, MorselSource,
-};
+pub use parallel::{run, ExecError, ExecReport, MorselSource};
 pub use pipeline_plan::apply_pipeline_entry;
+pub use resolve::resolve_threads;
 pub use plan::{
     lower, optimize, parse_plan, render_plan, Catalog, GroupBy, JoinBuilder, JoinSpec, KeyExpr,
     LogicalPlan, Node, OptReport, PlanBuilder, PlanError, Pred,

@@ -256,7 +256,8 @@ pub fn try_execute_star_paged_ctx(
     cache: &PageCache,
     ctx: &QueryCtx,
 ) -> Result<QueryOutput, ExecError> {
-    crate::parallel::run_ctx(plan, MorselSource::Paged { table: fact, cache }, cfg, ctx)
+    let source = MorselSource::Paged { table: fact, cache };
+    crate::parallel::run_ctx(plan, source, cfg, ctx, crate::resolve::pipeline_registry())
         .map(|(out, _)| out)
 }
 
@@ -337,9 +338,8 @@ impl<'a> PageCols<'a> {
 /// dictionary gather).
 struct DecodeRaw;
 
-/// Decode one page through the tuned `Decode` kernel (scalar fallback for
-/// off-grid nodes). With `raw` set, the codes come out unreconstructed —
-/// the code-space filter path.
+/// Decode one page through the tuned `Decode` kernel. With `raw` set, the
+/// codes come out unreconstructed — the code-space filter path.
 fn decode_page(page: &Page, cfg: &ExecConfig, raw: Option<DecodeRaw>, out: &mut Vec<u64>) {
     let rows = page.rows();
     out.clear();
@@ -358,15 +358,11 @@ fn decode_page(page: &Page, cfg: &ExecConfig, raw: Option<DecodeRaw>, out: &mut 
         start: 0,
         out,
     };
-    if !run_on(Family::Decode, cfg.decode, cfg.backend, &mut io) {
-        if raw.is_some() {
-            for (e, slot) in out.iter_mut().enumerate() {
-                *slot = page.code_at(e);
-            }
-        } else {
-            page.decode_range(0, out);
-        }
-    }
+    assert!(
+        run_on(Family::Decode, cfg.decode, cfg.backend, &mut io),
+        "decode node {} not compiled",
+        cfg.decode
+    );
     if hef_obs::metrics::enabled() {
         use hef_obs::metrics::{add, Metric};
         add(Metric::PagesDecoded, 1);

@@ -41,12 +41,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use hef_core::Registry;
 use hef_storage::cache::PageCache;
 use hef_storage::Table;
 use hef_testutil::fault;
 
-use crate::govern::{interrupt_error, CancelToken, DegradeAction, Governor, Interrupt, QueryCtx};
+use crate::govern::{interrupt_error, CancelToken, DegradeAction, Interrupt, QueryCtx};
 use crate::paged::PagedTable;
+use crate::resolve::{resolve, Resolved};
 use crate::star::{ExecConfig, ExecStats, FactCols, Flavor, PipelineWorker, QueryOutput, StarPlan};
 use crate::voila::VoilaWorker;
 
@@ -118,76 +120,6 @@ impl<'a> MorselSource<'a> {
 
 fn morsel_rows(batch: usize) -> usize {
     (MORSEL_BATCHES * batch).max(1)
-}
-
-/// Hard ceiling on worker threads: 4× the machine's available parallelism
-/// (at least 4). More workers than that cannot help a CPU-bound pipeline
-/// and an absurd request (a typo'd `HEF_THREADS=100000`) must not spawn
-/// unbounded threads.
-fn thread_cap() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .saturating_mul(4)
-        .max(4)
-}
-
-/// Resolve a requested worker-thread count: an explicit nonzero request
-/// wins; otherwise the `HEF_THREADS` environment variable; otherwise
-/// [`std::thread::available_parallelism`]. Requests beyond 4× the available
-/// parallelism are clamped, and a malformed `HEF_THREADS` is reported once
-/// instead of being silently ignored.
-pub fn resolve_threads(requested: usize) -> usize {
-    let cap = thread_cap();
-    let clamp = |n: usize| {
-        if n > cap {
-            hef_obs::diag::warn_once(
-                "threads-clamp",
-                format!(
-                    "{n} worker threads requested; clamping to {cap} \
-                     (4x available parallelism)"
-                ),
-            );
-            cap
-        } else {
-            n
-        }
-    };
-    if requested > 0 {
-        return clamp(requested);
-    }
-    if let Ok(v) = std::env::var("HEF_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return clamp(n),
-            _ => hef_obs::diag::warn_once(
-                "threads-bad-env",
-                format!(
-                    "HEF_THREADS=`{v}` is not a positive integer; \
-                     using available parallelism"
-                ),
-            ),
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Re-clamp a resolved thread count against the governor's admitted worker
-/// budget. `admitted` comes out of [`crate::govern::Governor::admit`]'s
-/// degradation ladder; when the request (typically `HEF_THREADS`) exceeds
-/// it, one `diag::warn_once` explains the clamp — once per process, not
-/// once per query, so a server loop under sustained memory pressure does
-/// not flood stderr.
-pub fn resolve_threads_governed(requested: usize, admitted: usize) -> usize {
-    let admitted = admitted.max(1);
-    if requested > admitted {
-        hef_obs::diag::warn_once(
-            "threads-governor-clamp",
-            format!(
-                "{requested} worker threads requested but the governor admitted \
-                 {admitted} (memory budget); clamping"
-            ),
-        );
-    }
-    requested.min(admitted)
 }
 
 /// Why a worker stopped part-way through a morsel.
@@ -264,6 +196,9 @@ pub struct ExecReport {
     pub morsels_completed: usize,
     /// Degradations the governor applied at admission, in order.
     pub degrade_actions: Vec<DegradeAction>,
+    /// Fingerprint of the `HEF_PIPELINE` row the config took its nodes
+    /// from (hybrid flavor only); `None` when no row applied.
+    pub pipeline_row: Option<u64>,
 }
 
 impl ExecReport {
@@ -339,11 +274,12 @@ impl std::error::Error for ExecError {}
 
 /// Run a star query to completion: the one entry point every executor call
 /// goes through. In order, it validates `plan` against `source`, resolves
-/// the config (`HEF_PIPELINE` overlay, then the per-knob env overrides),
-/// admits the query with the current [`Governor`] (which may degrade the
-/// config or reject), builds the [`QueryCtx`] from `cancel` and the config's
-/// deadline, and dispatches to the morsel scheduler (more than one worker)
-/// or the guarded serial rung (one worker). The admission-time degradations
+/// and admits the config (see [`crate::resolve`]: node validation, the
+/// hybrid `HEF_PIPELINE` row, the env knobs, then the current governor,
+/// which may degrade the config or reject), builds the [`QueryCtx`] from
+/// `cancel` and the config's deadline, and dispatches to the morsel
+/// scheduler (more than one worker) or the guarded serial rung (one
+/// worker). The admission-time degradations and the applied pipeline row
 /// are stamped into whichever [`ExecReport`] the outcome carries.
 ///
 /// Clone `cancel` into whatever owns the query's lifetime and cancel it to
@@ -355,16 +291,19 @@ pub fn run(
     cfg: &ExecConfig,
     cancel: &CancelToken,
 ) -> Result<(QueryOutput, ExecReport), ExecError> {
-    run_ctx(plan, source, cfg, &QueryCtx::new(cancel.clone(), 0))
+    let ctx = QueryCtx::new(cancel.clone(), 0);
+    run_ctx(plan, source, cfg, &ctx, crate::resolve::pipeline_registry())
 }
 
-/// [`run`] under a caller-held context; the config's deadline, when set,
-/// further bounds the caller's.
+/// [`run`] under a caller-held context, taking pipeline rows from
+/// `pipeline`; the config's deadline, when set, further bounds the
+/// caller's.
 pub(crate) fn run_ctx(
     plan: &StarPlan,
     source: MorselSource<'_>,
     cfg: &ExecConfig,
     caller: &QueryCtx,
+    pipeline: &Registry,
 ) -> Result<(QueryOutput, ExecReport), ExecError> {
     // Drop-guard drain: a query ending in a typed error (Rejected /
     // Cancelled / DeadlineExceeded / Failed) — or unwinding — flushes the
@@ -385,17 +324,10 @@ pub(crate) fn run_ctx(
     let mut drain = TraceDrain { armed: hef_obs::trace::enabled() };
     crate::star::validate_star_plan_with(plan, source.name(), |c| source.has_column(c))?;
     let fact = FactCols::resolve(plan, source)?;
-    // Overlay a tuned per-query pipeline plan (registry v3 via
-    // `HEF_PIPELINE`) first, then the explicit per-knob env overrides, so
-    // `HEF_PREFETCH`/`HEF_PARTITION` still win over the joint plan.
-    let mut cfg = crate::pipeline_plan::resolve_pipeline_env(plan, *cfg).resolved_from_env();
-    let resolved_threads = resolve_threads(cfg.threads);
-    // Admission: may degrade `cfg`/`threads` under memory pressure (the
-    // one-slot pipeline cache is invalidated when it does) or reject. The
-    // guard's Drop releases the charge on every path out of this function.
-    let mut threads = resolved_threads;
-    let mut admission = Governor::current().admit(plan, source, &mut cfg, &mut threads)?;
-    let threads = resolve_threads_governed(resolved_threads, threads);
+    // The admission guard's Drop releases the charge on every path out of
+    // this function.
+    let Resolved { cfg, threads, pipeline_row, mut admission } =
+        resolve(plan, source, cfg, pipeline)?;
     let ctx = caller.bounded(cfg.deadline_ms);
     let cfg = &cfg;
     let _qspan = if hef_obs::trace::enabled() {
@@ -414,13 +346,16 @@ pub(crate) fn run_ctx(
         let report = ExecReport { threads: 1, ..Default::default() };
         run_serial_guarded(plan, &fact, cfg, &ctx, &report).map(|out| (out, report))
     };
-    // Stamp the admission-time degradations into whichever report the
-    // outcome carries, so callers always see the full attribution.
+    // Stamp the resolution's provenance into whichever report the outcome
+    // carries, so callers always see the full attribution.
     let actions = admission.take_actions();
     match &mut result {
         Ok((_, report))
         | Err(ExecError::Cancelled { report, .. })
-        | Err(ExecError::DeadlineExceeded { report, .. }) => report.degrade_actions = actions,
+        | Err(ExecError::DeadlineExceeded { report, .. }) => {
+            report.degrade_actions = actions;
+            report.pipeline_row = pipeline_row;
+        }
         Err(_) => {}
     }
     if result.is_ok() {
@@ -673,7 +608,7 @@ fn run_scheduled(
         workers_lost: sched.workers_lost.load(Ordering::Acquire),
         degraded_to_serial: false,
         morsels_completed: sched.completed.load(Ordering::Acquire),
-        degrade_actions: Vec::new(),
+        ..Default::default()
     };
     if let Some(i) = sched.interrupted() {
         return Err(interrupt_error(&plan.name, ctx, i, report));
@@ -826,19 +761,6 @@ mod tests {
             let (par, _) = run_mem(&plan, &fact, &cfg, 4).unwrap();
             assert_eq!(par, serial, "n={n}");
         }
-    }
-
-    #[test]
-    fn explicit_thread_request_wins_over_auto() {
-        assert_eq!(resolve_threads(3), 3);
-        assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn absurd_thread_requests_are_clamped() {
-        let cap = thread_cap();
-        assert_eq!(resolve_threads(1_000_000), cap);
-        assert!(resolve_threads(cap) == cap);
     }
 
     #[test]

@@ -1,26 +1,15 @@
-//! Per-query pipeline plans: stable plan fingerprints and `HEF_PIPELINE`
-//! resolution.
+//! Per-query pipeline plans: stable plan fingerprints and the overlay of a
+//! joint pipeline row onto an execution config.
 //!
 //! The whole-pipeline joint tuner (`hef_core::pipeline`) persists its
-//! results as registry v3 rows keyed by a **plan fingerprint** — a hash of
-//! the query's *structure* (filters, join chain, measure, group strides),
-//! deliberately excluding anything scale-dependent (table sizes, row
-//! counts) so a plan tuned at one scale factor resolves at every other.
-//!
-//! At execution time, `HEF_PIPELINE=<registry file>` makes
-//! [`crate::run`] look the executing plan's fingerprint up in
-//! that file and overlay the matching joint configuration onto the caller's
-//! [`ExecConfig`]. The lookup degrades, never fails: an unreadable or torn
-//! file, a missing row, or a stale-ISA registry all leave the caller's
-//! config (typically per-op tuned via `HEF_REGISTRY`) untouched — one rung
-//! down the ladder, identical results either way. Explicit `HEF_PREFETCH` /
-//! `HEF_PARTITION` overrides are applied *after* the pipeline row, so they
-//! still win.
+//! results as registry `pipeline` rows keyed by a **plan fingerprint** — a
+//! hash of the query's *structure* (filters, join chain, measure, group
+//! strides), deliberately excluding anything scale-dependent (table sizes,
+//! row counts) so a plan tuned at one scale factor resolves at every other.
+//! [`crate::resolve`] looks the executing plan up in the `HEF_PIPELINE`
+//! registry and applies its row with [`apply_pipeline_entry`].
 
-use std::path::Path;
-use std::sync::Mutex;
-
-use hef_core::{PipelineEntry, Registry};
+use hef_core::PipelineEntry;
 use hef_kernels::Family;
 
 use crate::star::{ExecConfig, Measure, StarPlan};
@@ -53,7 +42,7 @@ impl Fnv {
 }
 
 impl StarPlan {
-    /// Stable structural fingerprint, the registry v3 row key.
+    /// Stable structural fingerprint, the registry `pipeline` row key.
     ///
     /// Covers the query name and everything that shapes the lowered
     /// pipeline — filter columns and bounds, the join chain (fk column,
@@ -99,7 +88,7 @@ impl StarPlan {
     }
 }
 
-/// Overlay a registry v3 pipeline row onto an execution config: each stage's
+/// Overlay a registry pipeline row onto an execution config: each stage's
 /// node lands on the kernel-family slot the pipeline dispatches (bloom
 /// checks ride the probe slot they guard), and the row's shared prefetch
 /// depth replaces the per-op one. Stage families with no `ExecConfig` slot
@@ -117,63 +106,6 @@ pub fn apply_pipeline_entry(mut cfg: ExecConfig, entry: &PipelineEntry) -> ExecC
     }
     cfg.probe_prefetch = entry.f;
     cfg
-}
-
-/// One-slot cache of the last `HEF_PIPELINE` registry, keyed by path. The
-/// env var is re-read per execution (like `HEF_PREFETCH`), but the file is
-/// only re-parsed when the path changes — repeat queries pay one load.
-static PIPELINE_CACHE: Mutex<Option<(String, Registry)>> = Mutex::new(None);
-
-/// Drop the one-slot registry cache. The governor calls this when it
-/// degrades a plan (e.g. drops partitioning): the cached overlay was tuned
-/// for the un-degraded execution shape, and re-applying its `p`/`f`
-/// settings from the cache to the next query with the same fingerprint
-/// would silently resurrect what degradation turned off.
-pub(crate) fn invalidate_cache() {
-    let mut cache = PIPELINE_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    *cache = None;
-}
-
-/// Resolve the `HEF_PIPELINE` override for `plan`: when the variable names
-/// a registry file containing a v3 row for the plan's fingerprint, return
-/// `cfg` with that row applied; otherwise return `cfg` unchanged. Load
-/// failures go through the registry degradation ladder (lenient parse,
-/// stale-ISA clearing), so a damaged file costs the pipeline row, never the
-/// query. Plans the governor degraded are exempt from the overlay entirely
-/// (see [`crate::govern::Governor::fingerprint_degraded`]).
-pub(crate) fn resolve_pipeline_env(plan: &StarPlan, cfg: ExecConfig) -> ExecConfig {
-    let Ok(path) = std::env::var("HEF_PIPELINE") else {
-        return cfg;
-    };
-    let path = path.trim();
-    if path.is_empty() {
-        return cfg;
-    }
-    if crate::govern::Governor::current().fingerprint_degraded(plan.fingerprint()) {
-        return cfg;
-    }
-    let mut cache = PIPELINE_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    let fresh = !matches!(&*cache, Some((p, _)) if p == path);
-    if fresh {
-        let (reg, report) = Registry::load_degraded(Path::new(path));
-        if !report.issues.is_empty() {
-            hef_obs::diag::warn_once(
-                "pipeline-registry-issues",
-                format!(
-                    "HEF_PIPELINE={path}: {} issue(s) degraded during load",
-                    report.issues.len()
-                ),
-            );
-        }
-        *cache = Some((path.to_string(), reg));
-    }
-    match &*cache {
-        Some((_, reg)) => match reg.get_pipeline(plan.fingerprint()) {
-            Some(entry) => apply_pipeline_entry(cfg, entry),
-            None => cfg,
-        },
-        None => cfg,
-    }
 }
 
 #[cfg(test)]
@@ -262,146 +194,5 @@ mod tests {
         // Untouched knobs survive the overlay.
         assert_eq!(cfg.batch, base.batch);
         assert_eq!(cfg.use_bloom, base.use_bloom);
-    }
-
-    /// Serializes the tests that mutate the process-wide `HEF_PIPELINE`
-    /// variable (they would otherwise race each other's paths).
-    static ENV_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn hef_pipeline_resolves_and_damaged_files_degrade() {
-        let _env = ENV_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        let (fact, plan) = toy_plan();
-        let dir = std::env::temp_dir().join(format!("hef-pipe-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tuned.txt");
-
-        let mut reg = Registry::default();
-        reg.insert_pipeline(
-            plan.fingerprint(),
-            PipelineEntry {
-                stages: vec![
-                    (Family::Filter, HybridConfig::new(2, 2, 2)),
-                    (Family::Probe, HybridConfig::new(1, 1, 3)),
-                ],
-                f: 8,
-            },
-        );
-        reg.save(&path).unwrap();
-
-        let base = ExecConfig::hybrid_default();
-        std::env::set_var("HEF_PIPELINE", &path);
-        let resolved = resolve_pipeline_env(&plan, base);
-        assert_eq!(resolved.filter, HybridConfig::new(2, 2, 2));
-        assert_eq!(resolved.probe_prefetch, 8);
-
-        // A plan without a row keeps the caller's config.
-        let mut other = plan.clone();
-        other.name = "other".into();
-        let kept = resolve_pipeline_env(&other, base);
-        assert_eq!(kept.filter, base.filter);
-        assert_eq!(kept.probe_prefetch, base.probe_prefetch);
-
-        // End to end: the pipeline-configured run is bit-identical to the
-        // unconfigured one (grid nodes only change speed, never results).
-        let with = crate::execute_star(&plan, &fact, &base.with_threads(1));
-        std::env::remove_var("HEF_PIPELINE");
-        let without = crate::execute_star(&plan, &fact, &base.with_threads(1));
-        assert_eq!(with, without);
-
-        // Truncate the file mid-row: the ladder drops the torn row and the
-        // caller's config survives untouched.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let cut = text.rfind("probe").map(|i| i + 3).unwrap_or(text.len());
-        let torn = dir.join("torn.txt");
-        std::fs::write(&torn, &text[..cut]).unwrap();
-        std::env::set_var("HEF_PIPELINE", &torn);
-        let degraded = resolve_pipeline_env(&plan, base);
-        assert_eq!(degraded.filter, base.filter);
-        assert_eq!(degraded.probe_prefetch, base.probe_prefetch);
-        std::env::remove_var("HEF_PIPELINE");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Regression for the ISSUE 8 bugfix: once the governor degrades a plan
-    /// (here: drops its radix partitioning to fit the memory budget), the
-    /// plan's tuned `HEF_PIPELINE` overlay must stop applying — both on a
-    /// fresh load and from the one-slot registry cache, which the
-    /// degradation invalidates. Un-degraded plans keep their overlays.
-    #[test]
-    fn governor_degraded_plan_suppresses_stale_pipeline_overlay() {
-        use crate::govern::{with_governor, GovernorConfig};
-        use crate::star::Measure;
-
-        let _env = ENV_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        // A dimension big enough to carry a radix-partitioned probe table.
-        let n_dim = 200_000u64;
-        let mut dim = Table::new("bigdim");
-        dim.add_column(Column::new("key", (0..n_dim).collect()));
-        let d = build_dimension(&dim, "key", |_| true, |r| dim.col("key")[r] % 4, 4, "fk");
-        assert!(d.parts.is_some(), "dimension must partition");
-        let mut fact = Table::new("fact");
-        fact.add_column(Column::new("fk", (0..4096u64).map(|i| i % n_dim).collect()));
-        fact.add_column(Column::new("rev", (0..4096u64).map(|i| i % 7 + 1).collect()));
-        let plan = StarPlan {
-            name: "bigjoin".into(),
-            filters: vec![],
-            dims: vec![d],
-            measure: Measure::Sum("rev".into()),
-            strides: vec![],
-        };
-        let (_, other_plan) = toy_plan();
-
-        // Pipeline rows for both plans.
-        let dir = std::env::temp_dir().join(format!("hef-pipe-gov-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tuned.txt");
-        let entry = || PipelineEntry {
-            stages: vec![(Family::Filter, HybridConfig::new(2, 2, 2))],
-            f: 16,
-        };
-        let mut reg = Registry::default();
-        reg.insert_pipeline(plan.fingerprint(), entry());
-        reg.insert_pipeline(other_plan.fingerprint(), entry());
-        reg.save(&path).unwrap();
-        std::env::set_var("HEF_PIPELINE", &path);
-
-        let base = ExecConfig::hybrid_default();
-        // A budget that fits the flat shape but not the partitioned one, so
-        // admission's first ladder rung is exactly DropPartition.
-        let mut flat = base;
-        flat.partition = false;
-        let budget = crate::govern::estimate_query_bytes(&plan, crate::MorselSource::Mem(&fact), &flat, 2);
-        assert!(
-            crate::govern::estimate_query_bytes(&plan, crate::MorselSource::Mem(&fact), &base, 2) > budget,
-            "partitioned estimate must exceed the flat-shape budget"
-        );
-
-        with_governor(GovernorConfig { max_queries: 0, mem_budget: budget }, |gov| {
-            // Overlay applies while the plan is un-degraded (and primes the
-            // one-slot cache).
-            let before = resolve_pipeline_env(&plan, base);
-            assert_eq!(before.filter, HybridConfig::new(2, 2, 2));
-
-            let mut cfg = base;
-            let mut threads = 2;
-            let adm = gov.admit(&plan, crate::MorselSource::Mem(&fact), &mut cfg, &mut threads).expect("admit degraded");
-            assert!(!cfg.partition, "ladder must have dropped partitioning");
-            assert!(gov.fingerprint_degraded(plan.fingerprint()));
-
-            // The stale overlay no longer applies — not from the (now
-            // invalidated) cache, not from a fresh load.
-            let after = resolve_pipeline_env(&plan, base);
-            assert_eq!(after.filter, base.filter, "stale overlay re-applied");
-            assert_eq!(after.probe_prefetch, base.probe_prefetch);
-
-            // Other plans are unaffected: their overlay still resolves.
-            let other = resolve_pipeline_env(&other_plan, base);
-            assert_eq!(other.filter, HybridConfig::new(2, 2, 2));
-            drop(adm);
-        });
-
-        std::env::remove_var("HEF_PIPELINE");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,6 @@
 //! Star-query plans and the VIP-style pipeline worker.
 
+use hef_core::Registry;
 use hef_hid::Backend;
 use hef_kernels::{
     plan_partition_bits, run_on, Family, HybridConfig, KernelIo, PartitionScratch,
@@ -9,7 +10,7 @@ use hef_storage::cache::PageCache;
 use hef_storage::page::PagedColumn;
 use hef_storage::Table;
 
-use crate::ops::{compact_hits, gather_keys, grouped_accumulate};
+use crate::ops::{compact_hits, grouped_accumulate};
 use crate::paged::PageCols;
 use crate::parallel::{ExecError, ExecReport, Halt, MorselSource};
 
@@ -57,19 +58,19 @@ pub struct ExecConfig {
     pub batch: usize,
     /// Worker threads for the morsel-driven parallel executor. `0` resolves
     /// at execution time: `HEF_THREADS` if set, else
-    /// `std::thread::available_parallelism()`.
+    /// `std::thread::available_parallelism()` (see [`crate::resolve`]).
     pub threads: usize,
     /// Software-prefetch depth `f` for the probe kernel (the tuned fourth
-    /// dimension; `0` = flat loop). Overridable per run via `HEF_PREFETCH`.
+    /// dimension; `0` = flat loop).
     pub probe_prefetch: usize,
     /// Allow the radix-partitioned probe path when a dimension carries
     /// cache-sized sub-tables (see [`build_dimension`]) and the batch has
-    /// enough keys per partition. Overridable per run via `HEF_PARTITION`.
+    /// enough keys per partition.
     pub partition: bool,
     /// Per-query deadline in milliseconds (`0` = none). Checked at every
     /// morsel claim and batch boundary; an expired deadline surfaces as
     /// typed [`ExecError::DeadlineExceeded`]. Overridable
-    /// per run via `HEF_DEADLINE_MS`.
+    /// per run via `HEF_DEADLINE_MS` (see [`crate::resolve`]).
     pub deadline_ms: u64,
 }
 
@@ -172,15 +173,20 @@ impl ExecConfig {
         }
     }
 
-    /// Hybrid execution with a tuned node for every kernel family the
-    /// pipeline dispatches (filter, probe, aggregation, gather).
-    pub fn hybrid_tuned(
-        filter: HybridConfig,
-        probe: HybridConfig,
-        agg: HybridConfig,
-        gather: HybridConfig,
-    ) -> ExecConfig {
-        ExecConfig { gather, ..ExecConfig::hybrid(filter, probe, agg) }
+    /// Hybrid execution with every kernel slot from a tuned registry: the
+    /// recorded node per family (the paper's SSB optimum `(1, 1, 3)` for
+    /// untuned ones) and the recorded probe prefetch depth (`0` if none).
+    pub fn tuned(reg: &Registry) -> ExecConfig {
+        ExecConfig {
+            gather: reg.get_or_default(Family::Gather),
+            decode: reg.get_or_default(Family::Decode),
+            probe_prefetch: reg.get_prefetch(Family::Probe).unwrap_or(0),
+            ..ExecConfig::hybrid(
+                reg.get_or_default(Family::Filter),
+                reg.get_or_default(Family::Probe),
+                reg.get_or_default(Family::AggSum),
+            )
+        }
     }
 
     /// The config for a flavor with defaults.
@@ -200,12 +206,6 @@ impl ExecConfig {
         self
     }
 
-    /// Builder-style decode-node override (paged scans).
-    pub fn with_decode(mut self, decode: HybridConfig) -> ExecConfig {
-        self.decode = decode;
-        self
-    }
-
     /// Builder-style probe-prefetch-depth override.
     pub fn with_probe_prefetch(mut self, f: usize) -> ExecConfig {
         self.probe_prefetch = f;
@@ -222,32 +222,6 @@ impl ExecConfig {
     /// [`ExecConfig::deadline_ms`]).
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> ExecConfig {
         self.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// Apply the `HEF_PREFETCH` (depth, `usize`), `HEF_PARTITION`
-    /// (`0/off/false` or `1/on/true`), and `HEF_DEADLINE_MS` (milliseconds,
-    /// `0` = none) environment overrides. Read per execution — not cached —
-    /// so tests and repeated runs in one process can change them between
-    /// queries.
-    pub fn resolved_from_env(mut self) -> ExecConfig {
-        if let Ok(v) = std::env::var("HEF_PREFETCH") {
-            if let Ok(f) = v.trim().parse::<usize>() {
-                self.probe_prefetch = f;
-            }
-        }
-        if let Ok(v) = std::env::var("HEF_PARTITION") {
-            match v.trim() {
-                "0" | "off" | "false" => self.partition = false,
-                "1" | "on" | "true" => self.partition = true,
-                _ => {}
-            }
-        }
-        if let Ok(v) = std::env::var("HEF_DEADLINE_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                self.deadline_ms = ms;
-            }
-        }
         self
     }
 }
@@ -909,9 +883,7 @@ impl<'a> PipelineWorker<'a> {
     }
 }
 
-/// Selective projection through the tuned gather kernel (falls back to the
-/// scalar helper for off-grid nodes, which cannot happen for the shipped
-/// flavor configs).
+/// Selective projection through the tuned gather kernel.
 fn take(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
     if hef_obs::metrics::enabled() {
         hef_obs::metrics::add(hef_obs::metrics::Metric::GatherRows, sel.len() as u64);
@@ -922,9 +894,11 @@ fn take(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
     // sources are streamed fact columns — hardware prefetch covers both, so
     // the software-prefetch depth stays probe-only here.
     let mut io = KernelIo::Gather { src: col, idx: sel, out, prefetch: 0 };
-    if !run_on(Family::Gather, cfg.gather, cfg.backend, &mut io) {
-        gather_keys(col, sel, out);
-    }
+    assert!(
+        run_on(Family::Gather, cfg.gather, cfg.backend, &mut io),
+        "gather node {} not compiled",
+        cfg.gather
+    );
 }
 
 #[cfg(test)]
@@ -1145,28 +1119,6 @@ mod tests {
             assert_eq!(got_off.groups, expect, "flat {}", flavor.name());
             assert_eq!(got_on.stats, got_off.stats, "{}", flavor.name());
         }
-    }
-
-    #[test]
-    fn env_overrides_apply_per_execution() {
-        let (fact, plan) = toy();
-        let expect = reference(&fact, &plan);
-        // Env mutation: keep this test single-threaded over the vars.
-        std::env::set_var("HEF_PREFETCH", "16");
-        std::env::set_var("HEF_PARTITION", "off");
-        let out = execute_star(&plan, &fact, &ExecConfig::hybrid_default());
-        std::env::remove_var("HEF_PREFETCH");
-        std::env::remove_var("HEF_PARTITION");
-        assert_eq!(out.groups, expect);
-        // Resolution itself is visible on the config level too.
-        std::env::set_var("HEF_PREFETCH", "8");
-        let cfg = ExecConfig::hybrid_default().resolved_from_env();
-        std::env::remove_var("HEF_PREFETCH");
-        assert_eq!(cfg.probe_prefetch, 8);
-        std::env::set_var("HEF_PARTITION", "0");
-        let cfg = ExecConfig::hybrid_default().resolved_from_env();
-        std::env::remove_var("HEF_PARTITION");
-        assert!(!cfg.partition);
     }
 
     #[test]

@@ -4,50 +4,38 @@
 //! `(v, s, p)` node per operator — is all a deployment needs ("once we get
 //! the optimal implementation of hybrid execution operators, we could use
 //! them to implement various queries directly without further training").
-//! The registry stores that result in a small, diff-friendly text format:
+//! The registry stores that result in one small, diff-friendly text format,
+//! the one `repro tune` and `repro tune-pipeline` write:
 //!
 //! ```text
-//! # hef tuned-operator registry v1
+//! # hef tuned-operator registry v3
 //! # cpu: Intel Xeon Silver 4110
 //! # isa: avx512
 //! murmur = 1 3 2
-//! crc64 = 8 0 1
-//! ```
-//!
-//! The **v2** format adds an optional fourth column to the `probe` entry —
-//! the tuned software-prefetch depth `f` (`probe = 2 4 3 16`). The v2
-//! header is only emitted when a depth is actually recorded, so files
-//! written without one remain byte-identical v1 and old readers are never
-//! broken; this reader accepts both versions, and pre-`f` probe entries
-//! are back-filled by the degradation ladder with the candidate
-//! generator's analytic seed ([`crate::candidate::seed_prefetch`]).
-//!
-//! The **v3** format adds *pipeline rows*: per-query joint configurations
-//! keyed by a stable plan fingerprint (the structural hash
-//! `hef-engine::StarPlan::fingerprint` computes), one stage per operator in
-//! pipeline order plus the shared prefetch depth:
-//!
-//! ```text
+//! probe = 2 4 3 16
 //! pipeline 1f2e3d4c5b6a7980 = filter:1,3,2 probe:2,4,3 agg_sum:1,1,3 f:16
 //! ```
 //!
-//! The v3 header is only emitted when a pipeline row exists, mirroring the
-//! v2 rule, so per-op-only files stay byte-identical v2/v1. Consumers walk
-//! a **degradation ladder across versions**: a missing or dropped pipeline
-//! row falls back to the per-op v2/v1 entries, which in turn fall back to
-//! the candidate generator's analytic seeds.
+//! A per-op line is `family = v s p`; the `probe` line may carry a fourth
+//! column, the tuned software-prefetch depth `f`. A `pipeline` row is a
+//! per-query joint configuration keyed by a stable plan fingerprint (the
+//! structural hash `hef-engine::StarPlan::fingerprint` computes): one stage
+//! per operator in pipeline order plus the shared prefetch depth. Consumers
+//! walk a **runtime ladder**: a missing or dropped pipeline row falls back
+//! to the per-op entries, which in turn fall back to the candidate
+//! generator's analytic seeds.
 //!
 //! Because a production deployment's hot path keys off this file, loading
 //! is defensive at two levels:
 //!
 //! * [`Registry::parse`] is **strict**: malformed lines, unknown or
-//!   duplicate families, off-grid `(v, s, p)` triples, and
-//!   future-versioned headers are typed [`ParseError`]s.
-//! * [`Registry::warm`] applies the **degradation ladder**: a bad or stale
-//!   registry never panics and never changes query results. Salvageable
-//!   entries are kept; off-grid or stale nodes fall back *per family* to
-//!   the candidate generator's analytical pick (§IV.A, Eq. 1–2); every
-//!   decision is recorded as a structured [`RegistryIssue`] in the
+//!   duplicate families, off-grid `(v, s, p)` triples, and any header other
+//!   than `v3` are typed [`ParseError`]s.
+//! * [`Registry::load_degraded`] applies the **degradation ladder**: a bad
+//!   or stale registry never panics and never changes query results.
+//!   Salvageable entries are kept; off-grid or stale nodes fall back *per
+//!   family* to the candidate generator's analytical pick (§IV.A, Eq. 1–2);
+//!   every decision is recorded as a structured [`RegistryIssue`] in the
 //!   [`WarmReport`].
 
 use std::collections::BTreeMap;
@@ -63,14 +51,14 @@ use crate::tuner::{TunedOperator, TunedProbe};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Registry {
     entries: BTreeMap<&'static str, HybridConfig>,
-    /// Tuned prefetch depths (v2 column 4) — today only `probe` carries one.
+    /// Tuned prefetch depths (column 4) — only `probe` carries one.
     prefetch: BTreeMap<&'static str, usize>,
-    /// Joint pipeline configurations (v3 rows), keyed by plan fingerprint.
+    /// Joint pipeline configurations (`pipeline` rows), keyed by plan
+    /// fingerprint.
     pipelines: BTreeMap<u64, PipelineEntry>,
     /// Tune-time calibration per family (`# drift:` provenance comments):
     /// predicted (port-simulator) and measured cycles/row of the winning
-    /// node, stored as milli-cycles so the registry stays `Eq`. Old readers
-    /// skip these lines as ordinary comments — no version bump needed.
+    /// node, stored as milli-cycles so the registry stays `Eq`.
     drift: BTreeMap<&'static str, (u64, u64)>,
     /// Free-form provenance line (CPU name, date, …).
     pub cpu: String,
@@ -99,7 +87,7 @@ pub enum ParseError {
     /// A fourth (prefetch-depth) column this build cannot honour: present
     /// on a family other than `probe`, or off the tuner's `f` axis.
     BadPrefetch { line: usize, name: String, f: usize },
-    /// A v3 pipeline row this build cannot honour (bad fingerprint, unknown
+    /// A pipeline row this build cannot honour (bad fingerprint, unknown
     /// stage family, off-grid stage node, off-axis depth, no stages…).
     BadPipeline { line: usize, message: String },
     /// The same plan fingerprint appears twice.
@@ -127,7 +115,7 @@ impl std::fmt::Display for ParseError {
             ParseError::UnsupportedVersion { line, version } => {
                 write!(
                     f,
-                    "line {line}: unsupported registry version `{version}` (this build reads v1/v2/v3)"
+                    "line {line}: unsupported registry version `{version}` (this build reads v3)"
                 )
             }
             ParseError::BadPrefetch { line, name, f: depth } => {
@@ -152,8 +140,8 @@ fn family_by_name(name: &str) -> Option<Family> {
     Family::ALL.into_iter().find(|f| f.name() == name)
 }
 
-/// One joint pipeline configuration (a v3 row): the per-stage hybrid nodes
-/// in pipeline order plus the shared probe-prefetch depth `f`.
+/// One joint pipeline configuration (a `pipeline` row): the per-stage
+/// hybrid nodes in pipeline order plus the shared probe-prefetch depth `f`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineEntry {
     /// Stages in pipeline order, each with its tuned node.
@@ -169,7 +157,7 @@ impl PipelineEntry {
     }
 }
 
-/// Parse a v3 pipeline row body (`<16hex> = family:v,s,p … f:<depth>`).
+/// Parse a pipeline row body (`<16hex> = family:v,s,p … f:<depth>`).
 fn parse_pipeline_row(rest: &str, line_no: usize) -> Result<Line, ParseError> {
     let bad = |message: String| ParseError::BadPipeline { line: line_no, message };
     let (fp, body) = rest
@@ -228,12 +216,11 @@ enum Line {
     Pipeline(u64, PipelineEntry),
 }
 
-/// Parse one (already `trim`med) line. Shared by the strict and lenient
-/// parsers so they cannot drift.
+/// Parse one (already `trim`med) line.
 fn parse_line(line: &str, line_no: usize) -> Result<Line, ParseError> {
     if let Some(rest) = line.strip_prefix("# hef tuned-operator registry") {
         let version = rest.trim();
-        if version.is_empty() || version == "v1" || version == "v2" || version == "v3" {
+        if version == "v3" {
             return Ok(Line::Skip);
         }
         return Err(ParseError::UnsupportedVersion {
@@ -357,7 +344,7 @@ impl Registry {
         self.drift.iter().map(|(&name, &(p, m))| (name, p as f64 / 1000.0, m as f64 / 1000.0))
     }
 
-    /// Record a tuned prefetch depth (v2 column 4; probe-only today).
+    /// Record a tuned prefetch depth (column 4; probe-only).
     pub fn insert_prefetch(&mut self, family: Family, f: usize) {
         self.prefetch.insert(family.name(), f);
     }
@@ -414,19 +401,9 @@ impl Registry {
         self.entries.is_empty()
     }
 
-    /// Serialize to the registry text format. The v2 header (and fourth
-    /// column) appear only when a prefetch depth is recorded, and the v3
-    /// header only when a pipeline row is recorded, so files without those
-    /// features stay byte-identical to the older formats for old readers.
+    /// Serialize to the registry text format.
     pub fn to_text(&self) -> String {
-        let version = if !self.pipelines.is_empty() {
-            "v3"
-        } else if !self.prefetch.is_empty() {
-            "v2"
-        } else {
-            "v1"
-        };
-        let mut out = format!("# hef tuned-operator registry {version}\n");
+        let mut out = String::from("# hef tuned-operator registry v3\n");
         if !self.cpu.is_empty() {
             let _ = writeln!(out, "# cpu: {}", self.cpu);
         }
@@ -456,51 +433,22 @@ impl Registry {
         out
     }
 
-    /// Parse the registry text format, strictly: the first problem is a
-    /// typed error. Comments (`#`) and blank lines are ignored; `# cpu:` and
-    /// `# isa:` comments are captured as provenance; CRLF line endings and
-    /// trailing whitespace are tolerated.
+    /// Parse the registry text format, strictly: the first issue the
+    /// lenient parse reports is a typed error. Comments (`#`) and blank
+    /// lines are ignored; `# cpu:` and `# isa:` comments are captured as
+    /// provenance; CRLF line endings and trailing whitespace are tolerated.
     pub fn parse(text: &str) -> Result<Registry, ParseError> {
-        let mut reg = Registry::default();
-        for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
-            match parse_line(raw.trim(), line_no)? {
-                Line::Skip => {}
-                Line::Cpu(cpu) => reg.cpu = cpu,
-                Line::Isa(isa) => reg.isa = isa,
-                Line::Drift(family, p, m) => {
-                    reg.drift.insert(family.name(), (p, m));
-                }
-                Line::Entry(family, cfg, pf) => {
-                    if reg.entries.contains_key(family.name()) {
-                        return Err(ParseError::DuplicateFamily {
-                            line: line_no,
-                            name: family.name().to_string(),
-                        });
-                    }
-                    reg.insert(family, cfg);
-                    if let Some(f) = pf {
-                        reg.insert_prefetch(family, f);
-                    }
-                }
-                Line::Pipeline(fp, entry) => {
-                    if reg.pipelines.contains_key(&fp) {
-                        return Err(ParseError::DuplicatePipeline {
-                            line: line_no,
-                            fingerprint: format!("{fp:016x}"),
-                        });
-                    }
-                    reg.insert_pipeline(fp, entry);
-                }
-            }
+        let (reg, issues) = Registry::parse_lenient(text);
+        match issues.into_iter().next() {
+            Some(RegistryIssue::BadLine { error }) => Err(error),
+            _ => Ok(reg),
         }
-        Ok(reg)
     }
 
     /// Parse leniently: salvage every valid line, report every bad one.
-    /// Duplicates keep the **first** occurrence (the strict parser's
-    /// winner). A future-versioned header aborts salvage — the rest of the
-    /// file speaks a format this build does not know.
+    /// Duplicates keep the **first** occurrence. An unsupported header
+    /// aborts salvage — the rest of the file speaks a format this build
+    /// does not know.
     pub fn parse_lenient(text: &str) -> (Registry, Vec<RegistryIssue>) {
         let mut reg = Registry::default();
         let mut issues = Vec::new();
@@ -559,20 +507,12 @@ impl Registry {
     /// Read from a file (strict parse), as a typed [`HefError`].
     ///
     /// [`HefError`]: crate::HefError
-    pub fn try_load(path: &Path) -> Result<Registry, crate::HefError> {
+    pub fn load(path: &Path) -> Result<Registry, crate::HefError> {
         let text = std::fs::read_to_string(path).map_err(|e| crate::HefError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
         })?;
         Registry::parse(&text).map_err(crate::HefError::from)
-    }
-
-    /// Read from a file (strict parse), as `std::io::Result` for callers on
-    /// the I/O seam.
-    pub fn load(path: &Path) -> std::io::Result<Registry> {
-        let text = std::fs::read_to_string(path)?;
-        Registry::parse(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Process-wide warmed registry, loaded once at first use.
@@ -592,12 +532,14 @@ impl Registry {
     /// the degradation ladder did:
     ///
     /// 1. unreadable file → empty registry (defaults serve every family);
-    /// 2. future-versioned file → same;
+    /// 2. unsupported header → same;
     /// 3. bad lines (malformed / unknown / duplicate / off-grid) → line
     ///    dropped; off-grid families fall back to the candidate generator's
     ///    analytical pick;
     /// 4. stale ISA provenance (`# isa:` differs from the running backend)
     ///    → **every** recorded node replaced by the analytical pick.
+    ///
+    /// A probe that falls back also gets an analytic prefetch depth.
     ///
     /// Since every grid node computes identical results, none of these
     /// degradations can change a query's output — only its speed.
@@ -654,10 +596,11 @@ impl Registry {
 
         // Stale ISA: the whole file was tuned for a different backend. The
         // recorded prefetch depth is dropped too — it was balanced against
-        // another machine's miss latency — and re-seeded below. Pipeline
-        // rows are cleared outright: a joint configuration is even more
-        // machine-specific than a per-op node, and dropping a row just
-        // walks consumers one rung down the ladder (per-op entries).
+        // another machine's miss latency — and the probe fallback below
+        // seeds a new one. Pipeline rows are cleared outright: a joint
+        // configuration is even more machine-specific than a per-op node,
+        // and dropping a row just walks consumers one rung down the ladder
+        // (per-op entries).
         let current_isa = hef_hid::Backend::native().name();
         if !reg.isa.is_empty() && reg.isa != current_isa {
             report.issues.push(RegistryIssue::StaleIsa {
@@ -682,29 +625,25 @@ impl Registry {
             let node = crate::candidate::initial_candidate(&model, &template);
             report.issues.push(RegistryIssue::Fallback { family: family.name(), node });
             reg.insert(family, node);
-        }
-
-        // Pre-`f` (v1) probe entries: the shape is trusted but no prefetch
-        // depth was ever tuned. Seed one analytically at a canonical
-        // DRAM-resident working set so memory-bound probes are not left at
-        // the serialized `f = 0` this field was introduced to escape.
-        if reg.get(Family::Probe).is_some() && reg.get_prefetch(Family::Probe).is_none() {
-            let f = crate::candidate::seed_prefetch(
-                &model,
-                &crate::templates::probe(),
-                SEED_PREFETCH_WORKING_SET,
-            );
-            reg.insert_prefetch(Family::Probe, f);
-            report.issues.push(RegistryIssue::SeededPrefetch { f });
+            if family == Family::Probe {
+                // Seeded at a canonical DRAM-resident working set, so a
+                // memory-bound probe is not left at the serialized `f = 0`.
+                let f = crate::candidate::seed_prefetch(
+                    &model,
+                    &template,
+                    SEED_PREFETCH_WORKING_SET,
+                );
+                reg.insert_prefetch(Family::Probe, f);
+            }
         }
         report.emit_diagnostics();
         (reg, report)
     }
 }
 
-/// Canonical working set used when the ladder seeds a prefetch depth for a
-/// pre-`f` registry: 64 MiB — comfortably past any LLC we model, i.e. the
-/// regime where the depth matters.
+/// Canonical working set for a fallback probe's prefetch depth: 64 MiB —
+/// comfortably past any LLC we model, i.e. the regime where the depth
+/// matters.
 const SEED_PREFETCH_WORKING_SET: u64 = 64 << 20;
 
 /// One structured warning from the degradation ladder.
@@ -718,8 +657,6 @@ pub enum RegistryIssue {
     StaleIsa { recorded: String, current: String },
     /// A family was re-pointed at the candidate generator's analytical pick.
     Fallback { family: &'static str, node: HybridConfig },
-    /// A pre-`f` probe entry had its prefetch depth seeded analytically.
-    SeededPrefetch { f: usize },
 }
 
 impl std::fmt::Display for RegistryIssue {
@@ -736,9 +673,6 @@ impl std::fmt::Display for RegistryIssue {
             RegistryIssue::Fallback { family, node } => {
                 write!(f, "{family}: falling back to analytical candidate {node}")
             }
-            RegistryIssue::SeededPrefetch { f: depth } => {
-                write!(f, "probe: pre-f registry entry; seeded prefetch depth {depth}")
-            }
         }
     }
 }
@@ -754,16 +688,8 @@ pub struct WarmReport {
 
 impl WarmReport {
     /// `true` when the registry loaded cleanly (or no file was requested).
-    ///
-    /// [`RegistryIssue::SeededPrefetch`] does not count against cleanliness:
-    /// a v1 file with no `f` column is a valid registry from before the
-    /// prefetch dimension existed, and backfilling an analytic depth is a
-    /// benign upgrade, not a degradation. It still appears in `issues` so
-    /// diagnostics and counters surface it.
     pub fn is_clean(&self) -> bool {
-        self.issues
-            .iter()
-            .all(|i| matches!(i, RegistryIssue::SeededPrefetch { .. }))
+        self.issues.is_empty()
     }
 
     /// Route every ladder decision through the `hef_obs` sink: a `diag`
@@ -776,9 +702,7 @@ impl WarmReport {
             hef_obs::trace::instant_labeled("registry_issue", &issue.to_string(), &[]);
             match issue {
                 RegistryIssue::BadLine { .. } => add(Metric::RegistryLinesDropped, 1),
-                RegistryIssue::Fallback { .. } | RegistryIssue::SeededPrefetch { .. } => {
-                    add(Metric::RegistryFallbacks, 1)
-                }
+                RegistryIssue::Fallback { .. } => add(Metric::RegistryFallbacks, 1),
                 RegistryIssue::StaleIsa { .. } => add(Metric::RegistryStaleIsa, 1),
                 RegistryIssue::Unreadable { .. } => {}
             }
@@ -822,8 +746,7 @@ mod tests {
         let mut r = sample();
         r.insert_drift(Family::Murmur, 2.451, 3.12);
         let text = r.to_text();
-        // Still a v1 file: drift is provenance, not a format feature.
-        assert!(text.starts_with("# hef tuned-operator registry v1"));
+        assert!(text.starts_with("# hef tuned-operator registry v3\n"));
         assert!(text.contains("# drift: murmur = 2451 3120"), "{text}");
         let parsed = Registry::parse(&text).unwrap();
         assert_eq!(parsed, r);
@@ -846,13 +769,12 @@ mod tests {
         let r = sample();
         r.save(&path).unwrap();
         assert_eq!(Registry::load(&path).unwrap(), r);
-        assert_eq!(Registry::try_load(&path).unwrap(), r);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn try_load_types_the_io_error() {
-        let e = Registry::try_load(Path::new("/nonexistent/registry.txt")).unwrap_err();
+    fn load_types_the_io_error() {
+        let e = Registry::load(Path::new("/nonexistent/registry.txt")).unwrap_err();
         assert!(matches!(e, crate::HefError::Io { .. }));
         assert!(e.to_string().contains("/nonexistent/registry.txt"));
     }
@@ -913,7 +835,7 @@ mod tests {
 
     #[test]
     fn crlf_and_trailing_whitespace_tolerated() {
-        let text = "# hef tuned-operator registry v1\r\n# cpu: Xeon\r\nmurmur = 1 3 2  \r\n\r\n";
+        let text = "# hef tuned-operator registry v3\r\n# cpu: Xeon\r\nmurmur = 1 3 2  \r\n\r\n";
         let r = Registry::parse(text).unwrap();
         assert_eq!(r.cpu, "Xeon");
         assert_eq!(r.get(Family::Murmur), Some(HybridConfig::new(1, 3, 2)));
@@ -926,12 +848,13 @@ mod tests {
             matches!(e, ParseError::UnsupportedVersion { line: 1, ref version } if version == "v4"),
             "{e}"
         );
-        assert!(e.to_string().contains("this build reads v1"));
-        // v1, v2, v3, and the bare legacy header all parse.
-        assert!(Registry::parse("# hef tuned-operator registry v1").is_ok());
-        assert!(Registry::parse("# hef tuned-operator registry v2").is_ok());
+        assert!(e.to_string().contains("this build reads v3"));
         assert!(Registry::parse("# hef tuned-operator registry v3").is_ok());
-        assert!(Registry::parse("# hef tuned-operator registry").is_ok());
+        // The retired v1/v2 headers and the bare header are unsupported.
+        for old in ["v1", "v2", ""] {
+            let e = Registry::parse(&format!("# hef tuned-operator registry {old}")).unwrap_err();
+            assert!(matches!(e, ParseError::UnsupportedVersion { line: 1, .. }), "{e}");
+        }
     }
 
     fn sample_pipeline() -> PipelineEntry {
@@ -969,11 +892,9 @@ mod tests {
     }
 
     #[test]
-    fn registries_without_pipelines_never_write_v3() {
-        let mut r = sample();
-        r.insert_prefetch(Family::Probe, 16);
-        r.insert(Family::Probe, HybridConfig::new(2, 4, 3));
-        assert!(r.to_text().starts_with("# hef tuned-operator registry v2\n"));
+    fn writer_always_emits_v3() {
+        assert!(Registry::default().to_text().starts_with("# hef tuned-operator registry v3\n"));
+        assert!(sample().to_text().starts_with("# hef tuned-operator registry v3\n"));
     }
 
     #[test]
@@ -1055,12 +976,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_preserves_prefetch_depth() {
+    fn prefetch_column_roundtrips() {
         let mut r = sample();
         r.insert(Family::Probe, HybridConfig::new(2, 4, 3));
         r.insert_prefetch(Family::Probe, 16);
         let text = r.to_text();
-        assert!(text.starts_with("# hef tuned-operator registry v2\n"), "{text}");
         assert!(text.contains("probe = 2 4 3 16"), "{text}");
         let parsed = Registry::parse(&text).unwrap();
         assert_eq!(parsed, r);
@@ -1068,14 +988,6 @@ mod tests {
         // Families without a depth stay three-column.
         assert!(text.contains("murmur = 1 3 2\n"), "{text}");
         assert_eq!(parsed.get_prefetch(Family::Murmur), None);
-    }
-
-    #[test]
-    fn registries_without_prefetch_stay_v1_on_disk() {
-        // Old readers never see a v2 header unless a depth was tuned.
-        let text = sample().to_text();
-        assert!(text.starts_with("# hef tuned-operator registry v1\n"), "{text}");
-        assert!(!text.contains(" v2"));
     }
 
     #[test]
@@ -1103,35 +1015,10 @@ mod tests {
     }
 
     #[test]
-    fn pre_prefetch_probe_entry_gets_seeded_by_the_ladder() {
-        let dir = std::env::temp_dir().join("hef-registry-seedf-test");
+    fn tuned_registry_loads_cleanly_through_the_ladder() {
+        let dir = std::env::temp_dir().join("hef-registry-clean-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1-probe.txt");
-        std::fs::write(
-            &path,
-            "# hef tuned-operator registry v1\nprobe = 2 4 3\nmurmur = 1 3 2\n",
-        )
-        .unwrap();
-        let (reg, report) = Registry::load_degraded(&path);
-        std::fs::remove_file(&path).ok();
-        // The recorded shape is trusted as-is…
-        assert_eq!(reg.get(Family::Probe), Some(HybridConfig::new(2, 4, 3)));
-        // …but a depth was seeded, on the axis, and the decision logged.
-        let f = reg.get_prefetch(Family::Probe).expect("ladder seeds a depth");
-        assert!(F_AXIS.contains(&f), "seeded {f}");
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, RegistryIssue::SeededPrefetch { .. })));
-        // Non-probe families are untouched by the seeding rule.
-        assert_eq!(reg.get_prefetch(Family::Murmur), None);
-    }
-
-    #[test]
-    fn tuned_v2_registry_loads_cleanly_through_the_ladder() {
-        let dir = std::env::temp_dir().join("hef-registry-v2clean-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v2.txt");
+        let path = dir.join("tuned.txt");
         let mut r = Registry::new("test rig");
         r.insert(Family::Probe, HybridConfig::new(2, 4, 3));
         r.insert_prefetch(Family::Probe, 32);
@@ -1195,16 +1082,23 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stale.txt");
         // No real backend is named `punchcards`.
-        std::fs::write(&path, "# isa: punchcards\nmurmur = 1 3 2\ncrc64 = 8 0 1\n").unwrap();
+        std::fs::write(
+            &path,
+            "# isa: punchcards\nmurmur = 1 3 2\ncrc64 = 8 0 1\nprobe = 2 4 3 16\n",
+        )
+        .unwrap();
         let (reg, report) = Registry::load_degraded(&path);
         std::fs::remove_file(&path).ok();
         assert!(report.issues.iter().any(|i| matches!(i, RegistryIssue::StaleIsa { .. })));
-        assert_eq!(report.fallbacks(), 2);
+        assert_eq!(report.fallbacks(), 3);
         assert_eq!(reg.isa, hef_hid::Backend::native().name());
-        for f in [Family::Murmur, Family::Crc64] {
+        for f in [Family::Murmur, Family::Crc64, Family::Probe] {
             let n = reg.get(f).expect("replaced, not dropped");
             assert!(on_grid(n.v, n.s, n.p));
         }
+        // The re-derived probe serves its own analytic depth, on the axis.
+        let f = reg.get_prefetch(Family::Probe).expect("fallback probe seeds a depth");
+        assert!(F_AXIS.contains(&f), "seeded {f}");
     }
 
     #[test]
@@ -1213,6 +1107,19 @@ mod tests {
         assert_eq!(r.isa, hef_hid::Backend::native().name());
         let parsed = Registry::parse(&r.to_text()).unwrap();
         assert_eq!(parsed.isa, r.isa);
+    }
+
+    /// The registry the SSB benchmark warm-loads is in the one format:
+    /// strict parse, a clean ladder, and a byte-identical rewrite.
+    #[test]
+    fn committed_tuned_registry_is_one_format() {
+        let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/tuned.txt"));
+        let text = std::fs::read_to_string(path).unwrap();
+        let strict = Registry::parse(&text).unwrap();
+        let (degraded, report) = Registry::load_degraded(path);
+        assert!(report.issues.is_empty(), "{:?}", report.issues);
+        assert_eq!(degraded, strict);
+        assert_eq!(strict.to_text(), text);
     }
 
     #[test]

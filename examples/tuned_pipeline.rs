@@ -28,12 +28,7 @@ fn main() {
 
     // --- online phase: reload and execute ---
     let registry = Registry::load(&path).expect("load registry");
-    let mut cfg = ExecConfig::hybrid(
-        registry.get_or_default(Family::Filter),
-        registry.get_or_default(Family::Probe),
-        registry.get_or_default(Family::AggSum),
-    );
-    cfg.gather = registry.get_or_default(Family::Gather);
+    let cfg = ExecConfig::tuned(&registry);
 
     let data = generate(0.05, 7);
     let plan = build_plan(&data, QueryId::Q4_2);

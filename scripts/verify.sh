@@ -93,17 +93,27 @@ cargo run --release --offline -q -p hef-bench --bin repro -- report target/trace
 # loop must stay within 2% of the uninstrumented baseline.
 cargo bench -p hef-bench --bench obs_overhead --offline -- --assert
 
-# Pipeline-tuning smoke (ISSUE 7): jointly tune one query on the simulated
-# Silver 4110, writing a registry v3 pipeline row to results/tuned.txt, then
-# reload it through HEF_PIPELINE end to end. A mid-row truncated copy must
-# degrade down the ladder (per-op v2 → analytic) and still run the query.
+# Pipeline-tuning smoke: jointly tune one query on the simulated Silver
+# 4110, writing a pipeline row to results/tuned.txt, then reload it through
+# HEF_PIPELINE end to end — the hybrid run must report the row it took its
+# nodes from. A mid-row truncated copy must degrade down the ladder
+# (pipeline row → per-op → analytic) and still run the query.
 cargo run --release --offline -q -p hef-bench --bin repro -- \
     tune-pipeline --sf 0.002 --query q21 --model silver-4110
 grep -q '^# hef tuned-operator registry v3$' results/tuned.txt
 grep -q '^pipeline [0-9a-f]\{16\} = ' results/tuned.txt
-HEF_PIPELINE=results/tuned.txt cargo run --release --offline -q -p hef-bench --bin repro -- \
-    q21 --sf 0.002 --repeats 1
 mkdir -p target
+HEF_PIPELINE=results/tuned.txt cargo run --release --offline -q -p hef-bench --bin repro -- \
+    q21 --sf 0.002 --repeats 1 > target/pipeline-smoke.txt 2>&1 || {
+    cat target/pipeline-smoke.txt
+    echo "verify: FAIL — HEF_PIPELINE smoke run failed" >&2
+    exit 1
+}
+if ! grep -q '^pipeline row: [0-9a-f]\{16\}$' target/pipeline-smoke.txt; then
+    cat target/pipeline-smoke.txt
+    echo "verify: FAIL — no HEF_PIPELINE row applied to the hybrid q21 run" >&2
+    exit 1
+fi
 head -c $(($(wc -c < results/tuned.txt) - 24)) results/tuned.txt > target/tuned-torn.txt
 HEF_PIPELINE=target/tuned-torn.txt cargo run --release --offline -q -p hef-bench --bin repro -- \
     q21 --sf 0.002 --repeats 1

@@ -26,8 +26,9 @@ use hef::engine::{
     build_dimension, estimate_query_bytes, execute_star, run, try_execute_star,
     try_execute_star_paged_ctx, try_execute_star_with_retry, with_governor, CancelToken,
     ExecConfig, ExecError, GovernorConfig, Measure, MorselSource, PagedTable, QueryCtx,
-    QueryOutput, StarPlan, MIN_BATCH,
+    QueryOutput, RangeFilter, StarPlan, MIN_BATCH,
 };
+use hef::hid::Backend;
 use hef::kernels::{Family, HybridConfig, P_AXIS, S_AXIS, V_AXIS};
 use hef::storage::{save_paged_column, Column, PageCache, Table};
 use hef::uarch::CpuModel;
@@ -217,15 +218,6 @@ fn good_registry_text() -> String {
     reg.to_text()
 }
 
-fn hybrid_from(reg: &Registry) -> ExecConfig {
-    ExecConfig::hybrid_tuned(
-        reg.get_or_default(Family::Filter),
-        reg.get_or_default(Family::Probe),
-        reg.get_or_default(Family::AggSum),
-        reg.get_or_default(Family::Gather),
-    )
-}
-
 fn temp_registry(name: &str, text: &str) -> std::path::PathBuf {
     let path =
         std::env::temp_dir().join(format!("hef_fault_{name}_{}.txt", std::process::id()));
@@ -241,7 +233,7 @@ fn corrupted_registry_changes_no_query_result() {
     let (clean_reg, clean_report) =
         with_plan(FaultPlan::default(), || Registry::load_degraded(&path));
     assert!(clean_report.is_clean(), "{:?}", clean_report.issues);
-    let baseline = serial_reference(&plan, &fact, &hybrid_from(&clean_reg));
+    let baseline = serial_reference(&plan, &fact, &ExecConfig::tuned(&clean_reg));
     // The registry-tuned hybrid agrees with plain scalar execution.
     assert_eq!(
         baseline.groups,
@@ -260,7 +252,7 @@ fn corrupted_registry_changes_no_query_result() {
                 family.name()
             );
         }
-        let out = serial_reference(&plan, &fact, &hybrid_from(&reg));
+        let out = serial_reference(&plan, &fact, &ExecConfig::tuned(&reg));
         assert_eq!(out.groups, baseline.groups, "seed {seed} changed the query result");
     }
     std::fs::remove_file(&path).ok();
@@ -270,7 +262,7 @@ fn corrupted_registry_changes_no_query_result() {
 fn off_grid_registry_node_falls_back_and_result_is_unchanged() {
     let (fact, plan) = toy();
     let baseline = serial_reference(&plan, &fact, &ExecConfig::scalar());
-    let text = "# hef tuned-operator registry v1\n\
+    let text = "# hef tuned-operator registry v3\n\
                 probe = 3 1 2\n\
                 filter = 2 1 2\n";
     let path = temp_registry("offgrid", text);
@@ -284,7 +276,7 @@ fn off_grid_registry_node_falls_back_and_result_is_unchanged() {
     assert_eq!(reg.get(Family::Filter), Some(HybridConfig { v: 2, s: 1, p: 2 }));
     let probe = reg.get(Family::Probe).expect("fallback node recorded");
     assert!(on_grid(probe.v, probe.s, probe.p));
-    let out = serial_reference(&plan, &fact, &hybrid_from(&reg));
+    let out = serial_reference(&plan, &fact, &ExecConfig::tuned(&reg));
     assert_eq!(out.groups, baseline.groups);
     std::fs::remove_file(&path).ok();
 }
@@ -293,7 +285,7 @@ fn off_grid_registry_node_falls_back_and_result_is_unchanged() {
 fn stale_isa_registry_rederives_and_result_is_unchanged() {
     let (fact, plan) = toy();
     let baseline = serial_reference(&plan, &fact, &ExecConfig::scalar());
-    let text = "# hef tuned-operator registry v1\n\
+    let text = "# hef tuned-operator registry v3\n\
                 # isa: punchcards\n\
                 filter = 2 1 2\n\
                 probe = 1 2 2\n";
@@ -305,7 +297,7 @@ fn stale_isa_registry_rederives_and_result_is_unchanged() {
         let node = reg.get(family).expect("re-derived node recorded");
         assert!(on_grid(node.v, node.s, node.p));
     }
-    let out = serial_reference(&plan, &fact, &hybrid_from(&reg));
+    let out = serial_reference(&plan, &fact, &ExecConfig::tuned(&reg));
     assert_eq!(out.groups, baseline.groups);
     std::fs::remove_file(&path).ok();
 }
@@ -331,7 +323,7 @@ fn torn_registry_file_degrades_gracefully_and_warns() {
         let node = reg.get_or_default(family);
         assert!(on_grid(node.v, node.s, node.p), "{} off grid", family.name());
     }
-    let out = serial_reference(&plan, &fact, &hybrid_from(&reg));
+    let out = serial_reference(&plan, &fact, &ExecConfig::tuned(&reg));
     assert_eq!(out.groups, baseline.groups, "torn registry changed the query result");
     // The degradation is observable: the diag sink saw registry warnings.
     assert!(
@@ -659,6 +651,42 @@ fn governance_paged_query_is_admitted_and_returns_budget_to_zero() {
             assert!(matches!(err, ExecError::Rejected { .. }), "{err}");
             drop(held);
             assert_eq!(gov.active_queries(), 0);
+        });
+    });
+}
+
+/// A node with no compiled kernel, or a backend this CPU cannot run, is a
+/// caller error: it is rejected as `BadPlan` before admission charges
+/// anything, instead of panicking inside workers until the retry ladder
+/// gives up. (On a CPU that runs every backend the backend half has no
+/// case to check.)
+#[test]
+fn governance_bad_nodes_are_rejected_before_admission() {
+    let (fact, mut plan) = toy();
+    plan.filters.push(RangeFilter { col: "rev".into(), lo: 2, hi: 9 });
+    let paged = PagedToy::new("badnode");
+    let base = ExecConfig::hybrid_default().with_threads(2);
+    let mut off_grid = base;
+    off_grid.filter = HybridConfig::new(3, 1, 2);
+    let mut cases = vec![("filter node n312", off_grid)];
+    for backend in [Backend::Emu, Backend::Avx2, Backend::Avx512] {
+        if !backend.is_available() {
+            cases.push((backend.name(), ExecConfig { backend, ..base }));
+        }
+    }
+    with_plan(FaultPlan::default(), || {
+        with_governor(GovernorConfig { max_queries: 0, mem_budget: 64 << 20 }, |gov| {
+            for (what, cfg) in &cases {
+                for source in [MorselSource::Mem(&fact), paged.source()] {
+                    match run(&plan, source, cfg, &CancelToken::new()) {
+                        Err(ExecError::BadPlan { message, .. }) => {
+                            assert!(message.contains(what), "{what}: {message}")
+                        }
+                        other => panic!("{what}: expected BadPlan, got {other:?}"),
+                    }
+                    assert_eq!((gov.active_queries(), gov.budget().used()), (0, 0));
+                }
+            }
         });
     });
 }

@@ -4,8 +4,7 @@
 //! for every flavor, every key distribution, and every partition size.
 //!
 //! Also covers the persistence story: `(v, s, p, f)` registry round-trips
-//! through the v2 text format, and a stale pre-`f` registry loads through
-//! the degradation ladder with a seeded depth instead of an error.
+//! through the registry text format.
 
 use hef::core::{Family as CoreFamily, Registry};
 use hef::engine::{execute_star, ExecConfig, Flavor};
@@ -148,49 +147,21 @@ fn engine_query_results_are_invariant_under_memory_knobs() {
 fn registry_roundtrips_vspf_through_a_file() {
     let dir = std::env::temp_dir().join(format!("hef_vspf_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tuned_v2.txt");
+    let path = dir.join("tuned.txt");
 
     let mut reg = Registry::new("test-cpu");
     reg.insert(CoreFamily::Probe, HybridConfig::new(2, 1, 4));
     reg.insert(CoreFamily::Murmur, HybridConfig::new(1, 1, 3));
     reg.insert_prefetch(CoreFamily::Probe, 32);
-    reg.save(&path).expect("save v2");
+    reg.save(&path).expect("save");
 
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("v2"), "prefetch forces the v2 header:\n{text}");
+    assert!(text.contains("probe = 2 1 4 32\n"), "depth is the probe line's fourth column:\n{text}");
 
-    let back = Registry::load(&path).expect("load v2");
+    let back = Registry::load(&path).expect("load");
     assert_eq!(back.get(CoreFamily::Probe), Some(HybridConfig::new(2, 1, 4)));
     assert_eq!(back.get_prefetch(CoreFamily::Probe), Some(32));
     assert_eq!(back.get(CoreFamily::Murmur), Some(HybridConfig::new(1, 1, 3)));
     assert_eq!(back.get_prefetch(CoreFamily::Murmur), None);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn stale_pre_prefetch_registry_degrades_to_a_seeded_depth() {
-    let dir = std::env::temp_dir().join(format!("hef_stale_f_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tuned_v1.txt");
-
-    // A v1 registry from before the `f` dimension existed: probe has a
-    // hybrid node but no depth column.
-    let mut reg = Registry::new("test-cpu");
-    reg.insert(CoreFamily::Probe, HybridConfig::new(1, 1, 3));
-    reg.save(&path).expect("save v1");
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(!text.contains("v2"), "no prefetch ⇒ v1 on disk:\n{text}");
-
-    let (loaded, report) = Registry::load_degraded(&path);
-    assert_eq!(loaded.get(CoreFamily::Probe), Some(HybridConfig::new(1, 1, 3)));
-    let f = loaded
-        .get_prefetch(CoreFamily::Probe)
-        .expect("ladder seeds a depth for pre-f probe entries");
-    assert!(F_AXIS.contains(&f), "seeded depth {f} must be on the axis");
-    assert!(
-        report.issues.iter().any(|i| i.to_string().contains("seeded prefetch")),
-        "issues: {:?}",
-        report.issues.iter().map(|i| i.to_string()).collect::<Vec<_>>()
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
