@@ -3,28 +3,23 @@
 //! ratio changes with the SSB scale factor ("the different size hash tables
 //! are stored in different levels of cache").
 //!
-//! Tables are sized to land in L1, L2, LLC, and memory. Three memory
+//! Tables are sized to land in L1, L2, LLC, and memory. Two memory
 //! strategies compete at every size:
 //!
 //! * **flat** — the original single hash table, no prefetch;
 //! * **prefetch** — the same table probed through the AMAC-style
 //!   interleaved loop with `f` probes in flight (`KernelIo::Probe`'s
-//!   `prefetch` field);
-//! * **partitioned** — the build side radix-split into L2-sized sub-tables
-//!   ([`PartitionedProbeTable`]), each bucket probed flat.
+//!   `prefetch` field).
 //!
 //! The expected crossover: in-cache tables gain nothing (flat wins or
-//! ties), DRAM-resident tables gain >1.3× from either memory-parallel
-//! strategy. The run is persisted to `results/bench_probe.json`
-//! (see `hef_bench::BenchSnapshot`); `--smoke` shrinks sizes and samples
-//! for CI; `--compare` prints a trend table against the previously archived
-//! snapshot (advisory only — never fails the run) before overwriting it.
+//! ties), DRAM-resident tables gain >1.3× from prefetching. The run is
+//! persisted to `results/bench_probe.json` (see `hef_bench::BenchSnapshot`);
+//! `--smoke` shrinks sizes and samples for CI; `--compare` prints a trend
+//! table against the previously archived snapshot (advisory only — never
+//! fails the run) before overwriting it.
 
 use hef_bench::BenchSnapshot;
-use hef_kernels::{
-    plan_partition_bits, run, Family, HybridConfig, KernelIo, PartitionScratch,
-    PartitionedProbeTable, ProbeTable,
-};
+use hef_kernels::{run, Family, HybridConfig, KernelIo, ProbeTable};
 use hef_testutil::bench::Group;
 use hef_testutil::Rng;
 
@@ -62,23 +57,15 @@ fn main() {
         .config("depths", format!("{depths:?}"));
 
     let mut rng = Rng::seed_from_u64(11);
-    let l2_target = hef_uarch::CpuModel::host().l2.bytes / 2;
     // (working-set bytes, best flat, best memory-parallel) per size.
     let mut crossover: Vec<(usize, f64, f64)> = Vec::new();
 
     for &entries in sizes {
         let table = table_with(entries);
-        let bits = plan_partition_bits(table.working_set_bytes(), l2_target);
-        let parts = (bits > 0).then(|| {
-            let pairs: Vec<(u64, u64)> =
-                (0..entries as u64).map(|k| (k * 2 + 1, k % 1000)).collect();
-            PartitionedProbeTable::from_pairs(&pairs, bits)
-        });
         let keys: Vec<u64> = (0..nkeys)
             .map(|_| rng.gen_range(0..entries as u64 * 2))
             .collect();
         let mut out = vec![0u64; nkeys];
-        let mut scratch = PartitionScratch::default();
 
         let group = format!("probe_ws_{}kib", table.working_set_bytes() / 1024);
         let mut g = Group::new(group.clone())
@@ -112,21 +99,6 @@ fn main() {
                     let mut io =
                         KernelIo::Probe { keys: &keys, table: &table, out: &mut out, prefetch: f };
                     assert!(run(Family::Probe, cfg, &mut io));
-                });
-                best_mem = best_mem.min(s.median);
-                snap.row(&group, &label, s, Some(nkeys as u64));
-            }
-        }
-        // Radix-partitioned (planner-sized buckets), flat and prefetched
-        // sub-probes.
-        if let Some(parts) = &parts {
-            for &f in [0usize].iter().chain(depths.iter().take(1)) {
-                let label = format!("part_b{}_n113_f{f}", parts.bits());
-                let s = g.bench(label.clone(), || {
-                    parts.probe_with(&keys, &mut out, &mut scratch, |t, k, o| {
-                        let mut io = KernelIo::Probe { keys: k, table: t, out: o, prefetch: f };
-                        assert!(run(Family::Probe, HybridConfig::new(1, 1, 3), &mut io));
-                    });
                 });
                 best_mem = best_mem.min(s.median);
                 snap.row(&group, &label, s, Some(nkeys as u64));

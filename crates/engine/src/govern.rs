@@ -5,9 +5,8 @@
 //! robustness substrate it stands on. Before a query executes, the process
 //! [`Governor`] *admits* it: a concurrent-query cap and a global memory
 //! budget bound what the scheduler will take on, and an over-budget query is
-//! first **degraded** — drop the radix-partitioned probe (its sub-table
-//! scratch is the largest optional allocation), shrink morsel batch buffers,
-//! shed worker threads — and only **rejected** (typed
+//! first **degraded** — shrink morsel batch buffers, then shed worker
+//! threads — and only **rejected** (typed
 //! [`ExecError::Rejected`] with a retry hint, never an unbounded queue) when
 //! even the minimal shape does not fit. Admitted queries run under a
 //! [`QueryCtx`] — an `Arc`-shared [`CancelToken`] plus an optional deadline
@@ -49,9 +48,6 @@ pub enum Interrupt {
 /// budget, recorded in [`ExecReport::degrade_actions`] in the order taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeAction {
-    /// Radix-partitioned probes disabled; the flat table is probed instead
-    /// (drops the per-worker `PartitionScratch` and sub-table bucketing).
-    DropPartition,
     /// Morsel batch buffers halved (floor [`MIN_BATCH`]).
     ShrinkBatch { from: usize, to: usize },
     /// Worker threads halved (floor 1).
@@ -263,13 +259,11 @@ impl BudgetTracker {
 /// Worst-case bytes a query's execution scratch will allocate: per worker,
 /// the reusable batch buffers (pipeline: sel/keys/probe_out/gids/vals +
 /// measure scratch; Voila: one dense buffer per column + gid/slots/pay),
-/// the private group-accumulator array, and — when radix partitioning is
-/// live — the `PartitionScratch` bucketing copy plus per-partition offset
-/// tables. A paged source batches whole pages, adds one decoded page buffer
-/// per plan column plus the code-space filter buffer per worker, and the
-/// page cache's full capacity (the standing allocation a paged scan can
-/// pin). Deliberately a slight over-estimate: admission must never
-/// under-charge.
+/// and the private group-accumulator array. A paged source batches whole
+/// pages, adds one decoded page buffer per plan column plus the code-space
+/// filter buffer per worker, and the page cache's full capacity (the
+/// standing allocation a paged scan can pin). Deliberately a slight
+/// over-estimate: admission must never under-charge.
 pub fn estimate_query_bytes(
     plan: &StarPlan,
     source: MorselSource<'_>,
@@ -291,15 +285,7 @@ pub fn estimate_query_bytes(
             (table.rows_per_page().max(1), 6 + plan_cols + 1, cache.capacity())
         }
     };
-    let mut per_worker = batch * 8 * streams + plan.group_cells() * 8;
-    if cfg.partition {
-        if let Some(bits) =
-            plan.dims.iter().filter_map(|d| d.parts.as_ref().map(|p| p.bits())).max()
-        {
-            // Bucketed (key, index) copy of the batch + offset/count tables.
-            per_worker += batch * 16 + (1usize << bits) * 16;
-        }
-    }
+    let per_worker = batch * 8 * streams + plan.group_cells() * 8;
     (threads.max(1) * per_worker).saturating_add(shared)
 }
 
@@ -461,11 +447,7 @@ impl Governor {
                     break;
                 }
                 // Degradation ladder: cheapest-to-lose first.
-                let action = if cfg.partition && plan.dims.iter().any(|d| d.parts.is_some())
-                {
-                    cfg.partition = false;
-                    DegradeAction::DropPartition
-                } else if cfg.batch > MIN_BATCH {
+                let action = if cfg.batch > MIN_BATCH {
                     let from = cfg.batch;
                     cfg.batch = (cfg.batch / 2).max(MIN_BATCH);
                     DegradeAction::ShrinkBatch { from, to: cfg.batch }
@@ -495,7 +477,6 @@ impl Governor {
                 hef_obs::event!(
                     "govern_degrade",
                     kind = match action {
-                        DegradeAction::DropPartition => 0,
                         DegradeAction::ShrinkBatch { .. } => 1,
                         DegradeAction::ReduceWorkers { .. } => 2,
                     },
@@ -666,8 +647,7 @@ mod tests {
     #[test]
     fn ladder_degrades_batch_then_threads_then_rejects() {
         let (fact, plan) = toy(20_000);
-        // No partitioned dim in the toy plan, so the ladder starts at
-        // batch shrinking. Budget fits exactly one minimal worker shape.
+        // Budget fits exactly one minimal worker shape.
         let minimal =
             estimate_query_bytes(&plan, MorselSource::Mem(&fact), &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
         with_governor(
@@ -678,9 +658,7 @@ mod tests {
                 let mut adm = gov.admit(&plan, MorselSource::Mem(&fact), &mut cfg, &mut threads).expect("fits");
                 let actions = adm.take_actions();
                 assert!(!actions.is_empty(), "budget pressure must degrade");
-                assert!(actions
-                    .iter()
-                    .all(|a| !matches!(a, DegradeAction::DropPartition)));
+                assert!(matches!(actions[0], DegradeAction::ShrinkBatch { .. }));
                 assert_eq!(cfg.batch, MIN_BATCH);
                 assert_eq!(threads, 1);
                 assert!(gov.budget().used() > 0);

@@ -157,9 +157,8 @@ impl<'a> AnyWorker<'a> {
         }
     }
 
-    /// Run morsel `idx`, checking `ctx` at every batch boundary (which
-    /// brackets each radix-partition bucketing pass — partitioning is
-    /// per-batch), so a cancel or deadline fires mid-morsel.
+    /// Run morsel `idx`, checking `ctx` at every batch boundary, so a
+    /// cancel or deadline fires mid-morsel.
     fn try_run_morsel(&mut self, idx: usize, ctx: &QueryCtx) -> Result<(), Halt> {
         match self {
             AnyWorker::Pipeline(w) => w.try_run_morsel(idx, ctx),

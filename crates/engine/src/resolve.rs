@@ -15,8 +15,8 @@
 //!    resolved shape — for this query only — or reject it.
 //!
 //! This module is the only reader of those three variables. The pipeline
-//! row never sets `partition`, `batch` or `threads`, and admission runs
-//! after it, so nothing a degradation turned off can come back.
+//! row never sets `batch` or `threads`, and admission runs after it, so
+//! nothing a degradation shrank can come back.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -326,43 +326,31 @@ mod tests {
         }
     }
 
-    /// A query the governor degrades drops partitioning for itself only:
+    /// A query the governor degrades shrinks its batch for itself only:
     /// the next query of the same plan is degraded afresh (its row never
-    /// turns partitioning back on), and other plans keep their rows.
+    /// restores the batch), and other plans keep their rows and batches.
     #[test]
-    fn degraded_plan_never_regains_partitioning_from_its_row() {
-        // A dimension big enough to carry a radix-partitioned probe table.
-        let n_dim = 200_000u64;
-        let mut dim = Table::new("bigdim");
-        dim.add_column(Column::new("key", (0..n_dim).collect()));
-        let d = build_dimension(&dim, "key", |_| true, |r| dim.col("key")[r] % 4, 4, "fk");
-        assert!(d.parts.is_some(), "dimension must partition");
-        let mut fact = Table::new("fact");
-        fact.add_column(Column::new("fk", (0..4096u64).map(|i| i % n_dim).collect()));
-        fact.add_column(Column::new(
-            "rev",
-            (0..4096u64).map(|i| i % 7 + 1).collect(),
-        ));
-        let plan = StarPlan {
-            name: "bigjoin".into(),
-            filters: vec![],
-            dims: vec![d],
-            measure: Measure::Sum("rev".into()),
-            strides: vec![],
-        };
-        let (other_fact, other_plan) = toy_plan();
-        let reg = rows_for(&[&plan, &other_plan]);
+    fn degraded_plan_never_regains_its_batch_from_its_row() {
+        let (fact, plan) = toy_plan();
         let source = MorselSource::Mem(&fact);
+        // The same plan under another name, over a fact table no larger
+        // than one shrunken batch.
+        let mut other_plan = plan.clone();
+        other_plan.name = "other".into();
+        let mut other_fact = Table::new("fact");
+        for name in ["fk", "rev"] {
+            other_fact.add_column(Column::new(name, fact.col(name)[..256].to_vec()));
+        }
+        let reg = rows_for(&[&plan, &other_plan]);
 
         let base = ExecConfig::hybrid_default().with_threads(2);
-        // A budget that fits the flat shape but not the partitioned one, so
-        // admission's first ladder rung is exactly DropPartition.
-        let mut flat = base;
-        flat.partition = false;
-        let budget = estimate_query_bytes(&plan, source, &flat, 2);
+        // A budget that fits half the batch but not the full one, so
+        // admission's only ladder rung is exactly one ShrinkBatch.
+        let half = base.batch / 2;
+        let budget = estimate_query_bytes(&plan, source, &base.with_batch(half), 2);
         assert!(
             estimate_query_bytes(&plan, source, &base, 2) > budget,
-            "partitioned estimate must exceed the flat-shape budget"
+            "full-batch estimate must exceed the half-batch budget"
         );
 
         with_governor(
@@ -373,15 +361,18 @@ mod tests {
             |_| {
                 for query in 0..2 {
                     let mut r = resolve(&plan, source, &base, &reg).expect("admit degraded");
-                    assert!(!r.cfg.partition, "query {query} ran partitioned");
+                    assert_eq!(r.cfg.batch, half, "query {query} regained its batch");
                     assert_eq!(
                         r.admission.take_actions(),
-                        vec![DegradeAction::DropPartition]
+                        vec![DegradeAction::ShrinkBatch { from: base.batch, to: half }]
                     );
                     assert_eq!(r.pipeline_row, Some(plan.fingerprint()));
                     assert_eq!(r.cfg.filter, HybridConfig::new(2, 2, 2));
                 }
-                let r = resolve(&other_plan, MorselSource::Mem(&other_fact), &base, &reg).unwrap();
+                let mut r =
+                    resolve(&other_plan, MorselSource::Mem(&other_fact), &base, &reg).unwrap();
+                assert!(r.admission.take_actions().is_empty());
+                assert_eq!(r.cfg.batch, base.batch);
                 assert_eq!(r.pipeline_row, Some(other_plan.fingerprint()));
                 assert_eq!(r.cfg.filter, HybridConfig::new(2, 2, 2));
             },

@@ -2,10 +2,7 @@
 
 use hef_core::Registry;
 use hef_hid::Backend;
-use hef_kernels::{
-    plan_partition_bits, run_on, Family, HybridConfig, KernelIo, PartitionScratch,
-    PartitionedProbeTable, ProbeTable,
-};
+use hef_kernels::{run_on, Family, HybridConfig, KernelIo, ProbeTable};
 use hef_storage::cache::PageCache;
 use hef_storage::page::PagedColumn;
 use hef_storage::Table;
@@ -63,10 +60,6 @@ pub struct ExecConfig {
     /// Software-prefetch depth `f` for the probe kernel (the tuned fourth
     /// dimension; `0` = flat loop).
     pub probe_prefetch: usize,
-    /// Allow the radix-partitioned probe path when a dimension carries
-    /// cache-sized sub-tables (see [`build_dimension`]) and the batch has
-    /// enough keys per partition.
-    pub partition: bool,
     /// Per-query deadline in milliseconds (`0` = none). Checked at every
     /// morsel claim and batch boundary; an expired deadline surfaces as
     /// typed [`ExecError::DeadlineExceeded`]. Overridable
@@ -75,102 +68,56 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Purely scalar execution.
-    pub fn scalar() -> ExecConfig {
+    /// The defaults every flavor shares, with every kernel slot on `node`.
+    fn base(flavor: Flavor, node: HybridConfig) -> ExecConfig {
         ExecConfig {
-            flavor: Flavor::Scalar,
-            filter: HybridConfig::SCALAR,
-            probe: HybridConfig::SCALAR,
-            agg: HybridConfig::SCALAR,
-            gather: HybridConfig::SCALAR,
-            decode: HybridConfig::SCALAR,
+            flavor,
+            filter: node,
+            probe: node,
+            agg: node,
+            gather: node,
+            decode: node,
             use_bloom: false,
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
             probe_prefetch: 0,
-            partition: true,
             deadline_ms: 0,
         }
     }
 
+    /// Purely scalar execution.
+    pub fn scalar() -> ExecConfig {
+        ExecConfig::base(Flavor::Scalar, HybridConfig::SCALAR)
+    }
+
     /// Purely SIMD execution.
     pub fn simd() -> ExecConfig {
-        ExecConfig {
-            flavor: Flavor::Simd,
-            filter: HybridConfig::SIMD,
-            probe: HybridConfig::SIMD,
-            agg: HybridConfig::SIMD,
-            gather: HybridConfig::SIMD,
-            decode: HybridConfig::SIMD,
-            use_bloom: false,
-            backend: Backend::native(),
-            batch: 1024,
-            threads: 0,
-            probe_prefetch: 0,
-            partition: true,
-            deadline_ms: 0,
-        }
+        ExecConfig::base(Flavor::Simd, HybridConfig::SIMD)
     }
 
     /// Hybrid execution at the paper's SSB optimum — one SIMD and one scalar
     /// statement, pack 3 — unless the caller supplies tuned nodes.
     pub fn hybrid_default() -> ExecConfig {
-        let n113 = HybridConfig::new(1, 1, 3);
-        ExecConfig {
-            flavor: Flavor::Hybrid,
-            filter: n113,
-            probe: n113,
-            agg: n113,
-            gather: n113,
-            decode: n113,
-            use_bloom: false,
-            backend: Backend::native(),
-            batch: 1024,
-            threads: 0,
-            probe_prefetch: 0,
-            partition: true,
-            deadline_ms: 0,
-        }
+        ExecConfig::base(Flavor::Hybrid, HybridConfig::new(1, 1, 3))
     }
 
     /// Hybrid execution with explicitly tuned per-family nodes.
     pub fn hybrid(filter: HybridConfig, probe: HybridConfig, agg: HybridConfig) -> ExecConfig {
         ExecConfig {
-            flavor: Flavor::Hybrid,
             filter,
             probe,
             agg,
             gather: probe,
             decode: filter,
-            use_bloom: false,
-            backend: Backend::native(),
-            batch: 1024,
-            threads: 0,
-            probe_prefetch: 0,
-            partition: true,
-            deadline_ms: 0,
+            ..ExecConfig::base(Flavor::Hybrid, probe)
         }
     }
 
     /// The Voila comparator (the flavor tag routes in-memory execution to
     /// the [`crate::voila`] worker; kernel configs are unused).
     pub fn voila() -> ExecConfig {
-        ExecConfig {
-            flavor: Flavor::Voila,
-            filter: HybridConfig::SCALAR,
-            probe: HybridConfig::SCALAR,
-            agg: HybridConfig::SCALAR,
-            gather: HybridConfig::SCALAR,
-            decode: HybridConfig::SCALAR,
-            use_bloom: false,
-            backend: Backend::native(),
-            batch: 1024,
-            threads: 0,
-            probe_prefetch: 0,
-            partition: true,
-            deadline_ms: 0,
-        }
+        ExecConfig::base(Flavor::Voila, HybridConfig::SCALAR)
     }
 
     /// Hybrid execution with every kernel slot from a tuned registry: the
@@ -244,10 +191,6 @@ pub struct DimJoin {
     pub table: ProbeTable,
     /// Bloom filter over the same keys (for semi-join pre-filtering).
     pub bloom: hef_kernels::BloomFilter,
-    /// Radix-partitioned copy of the same table, built only when the flat
-    /// table spills the host's L2 (see [`build_dimension`]); each sub-table
-    /// is cache-sized so sub-probes stay resident. `None` for small tables.
-    pub parts: Option<PartitionedProbeTable>,
     /// Number of distinct group codes this dimension contributes
     /// (1 = pure filter, payload 0).
     pub groups: usize,
@@ -364,7 +307,6 @@ pub fn build_dimension(
     let selected: Vec<usize> = (0..dim.len()).filter(|&r| predicate(r)).collect();
     let mut table = ProbeTable::with_capacity(selected.len());
     let mut bloom = hef_kernels::BloomFilter::with_capacity(selected.len());
-    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(selected.len());
     for r in selected {
         let code = payload(r);
         debug_assert!(
@@ -373,19 +315,11 @@ pub fn build_dimension(
         );
         table.insert(keys[r], code);
         bloom.insert(keys[r]);
-        pairs.push((keys[r], code));
     }
-    // Planner rule: partition only when the flat table spills the host's
-    // L2 (target = half of L2, leaving room for the probe stream); then
-    // each of the 2^b sub-tables is L2-resident and sub-probes hit cache.
-    let target = hef_uarch::CpuModel::host().l2.bytes / 2;
-    let bits = plan_partition_bits(table.working_set_bytes(), target);
-    let parts = (bits > 0).then(|| PartitionedProbeTable::from_pairs(&pairs, bits));
     DimJoin {
         fk_col: fk_col.to_string(),
         table,
         bloom,
-        parts,
         groups: groups.max(1),
         name: dim.name().to_string(),
     }
@@ -631,7 +565,6 @@ pub(crate) struct PipelineWorker<'a> {
     probe_out: Vec<u64>,
     gids: Vec<u64>,
     vals: Vec<u64>,
-    part_scratch: PartitionScratch,
 }
 
 impl<'a> PipelineWorker<'a> {
@@ -657,13 +590,11 @@ impl<'a> PipelineWorker<'a> {
             probe_out: Vec::with_capacity(buf_cap),
             gids: Vec::with_capacity(buf_cap),
             vals: Vec::with_capacity(buf_cap),
-            part_scratch: PartitionScratch::default(),
         }
     }
 
     /// Process morsel `idx` batch by batch under a governance context: the
-    /// cancel/deadline check runs before every batch, which also brackets
-    /// each radix-partition bucketing pass (partitioning is per-batch).
+    /// cancel/deadline check runs before every batch.
     pub(crate) fn try_run_morsel(
         &mut self,
         idx: usize,
@@ -769,53 +700,17 @@ impl<'a> PipelineWorker<'a> {
             self.probe_out.clear();
             self.probe_out.resize(self.keys.len(), 0);
             self.stats.probes[di] += self.keys.len() as u64;
-            // Partitioned path: only when the planner built sub-tables AND
-            // the batch carries enough keys per partition for the bucketing
-            // pass to pay for itself (≥ 64 keys per sub-table on average —
-            // pipeline batches are small, so this mostly serves large-batch
-            // callers like the probe bench and morsel-sized scans).
-            let parts = if cfg.partition {
-                dim.parts
-                    .as_ref()
-                    .filter(|p| self.keys.len() >= (1usize << p.bits()) * 64)
-            } else {
-                None
+            let mut io = KernelIo::Probe {
+                keys: &self.keys,
+                table: &dim.table,
+                out: &mut self.probe_out,
+                prefetch: cfg.probe_prefetch,
             };
-            let partitioned = parts.is_some();
-            let mut sub_probes = 0u64;
-            if let Some(parts) = parts {
-                parts.probe_with(
-                    &self.keys,
-                    &mut self.probe_out,
-                    &mut self.part_scratch,
-                    |table, keys, out| {
-                        sub_probes += 1;
-                        let mut io = KernelIo::Probe {
-                            keys,
-                            table,
-                            out,
-                            prefetch: cfg.probe_prefetch,
-                        };
-                        assert!(
-                            run_on(Family::Probe, cfg.probe, cfg.backend, &mut io),
-                            "probe node {} not compiled",
-                            cfg.probe
-                        );
-                    },
-                );
-            } else {
-                let mut io = KernelIo::Probe {
-                    keys: &self.keys,
-                    table: &dim.table,
-                    out: &mut self.probe_out,
-                    prefetch: cfg.probe_prefetch,
-                };
-                assert!(
-                    run_on(Family::Probe, cfg.probe, cfg.backend, &mut io),
-                    "probe node {} not compiled",
-                    cfg.probe
-                );
-            }
+            assert!(
+                run_on(Family::Probe, cfg.probe, cfg.backend, &mut io),
+                "probe node {} not compiled",
+                cfg.probe
+            );
             let k = compact_hits(&mut self.sel, &mut pays, &mut self.probe_out);
             self.stats.hits[di] += k as u64;
             if hef_obs::metrics::enabled() {
@@ -825,10 +720,6 @@ impl<'a> PipelineWorker<'a> {
                 observe(Hist::ProbeBatchHits, k as u64);
                 if cfg.probe_prefetch > 0 {
                     add(Metric::ProbePrefetchedKeys, self.keys.len() as u64);
-                }
-                if partitioned {
-                    add(Metric::ProbePartitionedKeys, self.keys.len() as u64);
-                    add(Metric::ProbeSubProbes, sub_probes);
                 }
             }
         }
@@ -1070,54 +961,6 @@ mod tests {
                 let out = execute_star(&plan, &fact, &cfg);
                 assert_eq!(out.groups, expect, "{} f={f}", flavor.name());
             }
-        }
-    }
-
-    #[test]
-    fn small_dimensions_never_partition() {
-        let (_, plan) = toy();
-        // The toy dims are a few KiB — far under the L2 threshold.
-        for d in &plan.dims {
-            assert!(d.parts.is_none(), "{} unexpectedly partitioned", d.name);
-        }
-    }
-
-    #[test]
-    fn partitioned_execution_is_bit_identical() {
-        // A dimension big enough to clear the L2 planner threshold, probed
-        // with batches large enough to pass the keys-per-partition gate.
-        let n_dim = 200_000u64;
-        let mut dim = Table::new("bigdim");
-        dim.add_column(Column::new("key", (0..n_dim).collect()));
-        dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
-        let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
-        assert!(d.parts.is_some(), "{} B must trigger partitioning", d.table.working_set_bytes());
-
-        let n = 300_000u64;
-        let mut fact = Table::new("fact");
-        // Every third key misses (beyond the dimension's key domain).
-        fact.add_column(Column::new("fk", (0..n).map(|i| (i * 7919) % (n_dim * 3 / 2)).collect()));
-        fact.add_column(Column::new("rev", (0..n).map(|i| i % 13 + 1).collect()));
-        let plan = StarPlan {
-            name: "bigjoin".into(),
-            filters: vec![],
-            dims: vec![d],
-            measure: Measure::Sum("rev".into()),
-            strides: vec![],
-        };
-        let expect = reference(&fact, &plan);
-        for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
-            // Batch >= 2^bits * 64 keys so the partitioned path engages.
-            let bits = plan.dims[0].parts.as_ref().unwrap().bits();
-            let mut on = ExecConfig::for_flavor(flavor);
-            on.batch = (1usize << bits) * 64;
-            let mut off = on;
-            off.partition = false;
-            let got_on = execute_star(&plan, &fact, &on);
-            let got_off = execute_star(&plan, &fact, &off);
-            assert_eq!(got_on.groups, expect, "partitioned {}", flavor.name());
-            assert_eq!(got_off.groups, expect, "flat {}", flavor.name());
-            assert_eq!(got_on.stats, got_off.stats, "{}", flavor.name());
         }
     }
 

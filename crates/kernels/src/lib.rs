@@ -32,7 +32,6 @@ pub mod filter;
 pub mod filter32;
 pub mod gather;
 pub mod murmur;
-pub mod partition;
 pub mod prefetch;
 pub mod probe;
 
@@ -40,9 +39,6 @@ mod dispatch;
 
 pub use dispatch::{grid_for, kernel_for, GridEntry};
 pub use bloom::BloomFilter;
-pub use partition::{
-    plan_partition_bits, PartitionScratch, PartitionedProbeTable, MAX_PARTITION_BITS,
-};
 pub use probe::{ProbeTable, MISS};
 
 use hef_hid::Backend;

@@ -29,10 +29,6 @@ pub enum Metric {
     RowsMaterialized,
     /// Probe keys run through the software-prefetched (f > 0) pipeline.
     ProbePrefetchedKeys,
-    /// Probe keys routed through a radix-partitioned table.
-    ProbePartitionedKeys,
-    /// Sub-table kernel invocations issued by partitioned probes.
-    ProbeSubProbes,
     // Tuner (hef-core::optimizer)
     TunerSearches,
     TunerTrials,
@@ -85,7 +81,7 @@ pub enum Metric {
 }
 
 impl Metric {
-    pub const ALL: [Metric; 48] = [
+    pub const ALL: [Metric; 46] = [
         Metric::QueriesExecuted,
         Metric::MorselsClaimed,
         Metric::MorselsRetried,
@@ -101,8 +97,6 @@ impl Metric {
         Metric::GatherRows,
         Metric::RowsMaterialized,
         Metric::ProbePrefetchedKeys,
-        Metric::ProbePartitionedKeys,
-        Metric::ProbeSubProbes,
         Metric::TunerSearches,
         Metric::TunerTrials,
         Metric::TunerRemeasurements,
@@ -153,8 +147,6 @@ impl Metric {
             Metric::GatherRows => "kernel.gather_rows",
             Metric::RowsMaterialized => "kernel.rows_materialized",
             Metric::ProbePrefetchedKeys => "kernel.probe_prefetched_keys",
-            Metric::ProbePartitionedKeys => "kernel.probe_partitioned_keys",
-            Metric::ProbeSubProbes => "kernel.probe_sub_probes",
             Metric::TunerSearches => "tuner.searches",
             Metric::TunerTrials => "tuner.trials",
             Metric::TunerRemeasurements => "tuner.remeasurements",

@@ -115,8 +115,7 @@ pub struct SlowMorsel {
 
 /// Inflate the governor's admission-time memory estimate — models a query
 /// whose scratch requirements blow past the prediction, forcing the
-/// degradation ladder (drop partitioning → shrink batches → shed workers →
-/// reject).
+/// degradation ladder (shrink batches → shed workers → reject).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemSpike {
     /// Extra bytes added to the admission estimate.

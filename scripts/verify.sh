@@ -53,7 +53,7 @@ HEF_FAULT="panic:morsel=2,times=3;registry:flips=6,seed=11" \
 # Exercise both executor paths: serial (HEF_THREADS=1) and the morsel-driven
 # parallel scheduler (HEF_THREADS=4), which auto-resolved thread counts route
 # through whenever more than one worker is requested. probe_memory proves
-# the prefetched/partitioned probe strategies bit-identical under both.
+# the flat and prefetched probes bit-identical under both.
 HEF_THREADS=1 cargo test -q --offline --test parallel_differential --test end_to_end --test probe_memory
 HEF_THREADS=4 cargo test -q --offline --test parallel_differential --test end_to_end --test probe_memory
 
@@ -73,7 +73,7 @@ fi
 # end of this script picks them up).
 cargo run --release --offline -q -p hef-bench --bin repro -- trend --strict
 
-# Probe-crossover bench smoke: flat vs prefetched vs partitioned rows run
+# Probe-crossover bench smoke: flat vs prefetched rows run
 # end to end and a results/bench_probe_smoke.json snapshot is written (the
 # committed bench_probe.json archive only changes on full runs).
 cargo bench -p hef-bench --bench probe --offline -- --smoke

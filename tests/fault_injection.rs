@@ -25,8 +25,8 @@ use hef::core::optimizer::{SimulatedCost, SpikedCost};
 use hef::engine::{
     build_dimension, estimate_query_bytes, execute_star, run, try_execute_star,
     try_execute_star_paged_ctx, try_execute_star_with_retry, with_governor, CancelToken,
-    ExecConfig, ExecError, GovernorConfig, Measure, MorselSource, PagedTable, QueryCtx,
-    QueryOutput, RangeFilter, StarPlan, MIN_BATCH,
+    DegradeAction, ExecConfig, ExecError, GovernorConfig, Measure, MorselSource, PagedTable,
+    QueryCtx, QueryOutput, RangeFilter, StarPlan, MIN_BATCH,
 };
 use hef::hid::Backend;
 use hef::kernels::{Family, HybridConfig, P_AXIS, S_AXIS, V_AXIS};
@@ -416,15 +416,13 @@ fn grid_steps(a: HybridConfig, b: HybridConfig) -> usize {
 
 // ---------------------------------------------------------------- governance
 
-/// A star plan whose dimension is big enough to trigger radix partitioning,
-/// so cancellation lands while per-batch partition bucketing is live.
-fn partitioned() -> (Table, StarPlan) {
+/// A star plan whose 200k-key dimension table spills the L2 cache.
+fn big_dimension() -> (Table, StarPlan) {
     let n_dim = 200_000u64;
     let mut dim = Table::new("bigdim");
     dim.add_column(Column::new("key", (0..n_dim).collect()));
     dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
     let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
-    assert!(d.parts.is_some(), "dimension must trigger partitioning");
     let n = 200_000u64;
     let mut fact = Table::new("fact");
     fact.add_column(Column::new("fk", (0..n).map(|i| (i * 7919) % (n_dim * 3 / 2)).collect()));
@@ -480,8 +478,8 @@ fn governance_deadline_mid_morsel_is_typed_and_workers_joined() {
 }
 
 #[test]
-fn governance_cancel_during_partition_build_returns_budget_to_zero() {
-    let (fact, plan) = partitioned();
+fn governance_cancel_during_big_dimension_probe_returns_budget_to_zero() {
+    let (fact, plan) = big_dimension();
     let cfg = ExecConfig::hybrid_default().with_threads(4);
     // A finite budget so the admission actually charges bytes.
     let budget = estimate_query_bytes(&plan, MorselSource::Mem(&fact), &cfg, 4) * 4;
@@ -510,9 +508,9 @@ fn governance_cancel_during_partition_build_returns_budget_to_zero() {
 #[test]
 fn governance_degraded_run_completes_bit_identical() {
     // A budget that fits only the minimal shape: the full ladder engages
-    // (drop partition, shrink batch, shed workers) and the query still
-    // produces exactly the reference answer.
-    let (fact, plan) = partitioned();
+    // (shrink batch, shed workers) and the query still produces exactly
+    // the reference answer.
+    let (fact, plan) = big_dimension();
     let reference = serial_reference(&plan, &fact, &ExecConfig::scalar());
     let minimal = estimate_query_bytes(
         &plan,
@@ -526,7 +524,11 @@ fn governance_degraded_run_completes_bit_identical() {
                 try_execute_star(&plan, &fact, &ExecConfig::hybrid_default().with_threads(4))
                     .expect("degraded admission must still execute");
             assert_eq!(out.groups, reference.groups, "degradation changed the result");
-            assert!(!report.degrade_actions.is_empty(), "ladder must have engaged");
+            assert!(
+                matches!(report.degrade_actions.first(), Some(DegradeAction::ShrinkBatch { .. })),
+                "ladder must engage at its first rung: {:?}",
+                report.degrade_actions
+            );
             assert!(!report.is_clean(), "a degraded run must not report clean");
         });
         assert_eq!(gov.budget().used(), 0);

@@ -1,18 +1,23 @@
 //! Differential suite for the memory-parallel probe pipeline: software
-//! prefetch (any depth, on- or off-axis) and radix partitioning must be
-//! *pure optimizations* — bit-identical to the flat scalar reference probe
-//! for every flavor, every key distribution, and every partition size.
+//! prefetch (any depth, on- or off-axis) must be a *pure optimization* —
+//! bit-identical to the flat scalar reference probe for every flavor and
+//! every key distribution.
+//!
+//! A paged star query over a dimension that spills the L2 cache checks the
+//! flat probe at page-sized batches against the in-memory engine and an
+//! independent row-at-a-time reference.
 //!
 //! Also covers the persistence story: `(v, s, p, f)` registry round-trips
 //! through the registry text format.
 
 use hef::core::{Family as CoreFamily, Registry};
-use hef::engine::{execute_star, ExecConfig, Flavor};
-use hef::kernels::{
-    all_configs, run, Family, HybridConfig, KernelIo, PartitionScratch,
-    PartitionedProbeTable, ProbeTable, F_AXIS,
+use hef::engine::{
+    build_dimension, execute_star, CancelToken, ExecConfig, Flavor, Measure, MorselSource,
+    PagedTable, RangeFilter, StarPlan,
 };
+use hef::kernels::{all_configs, run, Family, HybridConfig, KernelIo, ProbeTable, F_AXIS};
 use hef::ssb::{build_plan, generate, QueryId};
+use hef::storage::{save_paged_column, Column, PageCache, Table};
 use hef_testutil::{prop, strategy, Rng};
 
 /// Reference: one scalar probe per key against the flat table.
@@ -20,14 +25,12 @@ fn reference(table: &ProbeTable, keys: &[u64]) -> Vec<u64> {
     keys.iter().map(|&k| table.probe_scalar(k)).collect()
 }
 
-fn build(entries: usize) -> (ProbeTable, Vec<(u64, u64)>) {
+fn build(entries: usize) -> ProbeTable {
     let mut t = ProbeTable::with_capacity(entries);
-    let mut pairs = Vec::with_capacity(entries);
     for k in 0..entries as u64 {
         t.insert(k * 3 + 1, k + 7);
-        pairs.push((k * 3 + 1, k + 7));
     }
-    (t, pairs)
+    t
 }
 
 /// The three adversarial key distributions of the issue: collision-heavy
@@ -46,7 +49,7 @@ fn distributions(entries: usize, nkeys: usize) -> Vec<(&'static str, Vec<u64>)> 
 #[test]
 fn prefetched_probe_is_identical_for_every_flavor_and_depth() {
     let entries = 4096;
-    let (table, _) = build(entries);
+    let table = build(entries);
     // On-axis depths, off-axis depths, absurd depths: all legal at runtime.
     let depths: Vec<usize> = F_AXIS.iter().copied().chain([3, 7, 100, 5000]).collect();
     for (dist, keys) in distributions(entries, 2048) {
@@ -64,57 +67,23 @@ fn prefetched_probe_is_identical_for_every_flavor_and_depth() {
 }
 
 #[test]
-fn partitioned_probe_is_identical_across_bits_and_flavors() {
-    let entries = 8192;
-    let (table, pairs) = build(entries);
-    let nodes = [HybridConfig::SCALAR, HybridConfig::SIMD, HybridConfig::new(1, 1, 3)];
-    for (dist, keys) in distributions(entries, 2048) {
-        let expect = reference(&table, &keys);
-        for bits in [1u32, 3, 6] {
-            let parts = PartitionedProbeTable::from_pairs(&pairs, bits);
-            let mut scratch = PartitionScratch::default();
-            for cfg in nodes {
-                for f in [0usize, 16] {
-                    let mut out = vec![0u64; keys.len()];
-                    parts.probe_with(&keys, &mut out, &mut scratch, |t, k, o| {
-                        let mut io =
-                            KernelIo::Probe { keys: k, table: t, out: o, prefetch: f };
-                        assert!(run(Family::Probe, cfg, &mut io));
-                    });
-                    assert_eq!(out, expect, "{dist} b={bits} {cfg} f={f}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn property_prefetch_and_partition_agree_with_reference() {
-    // Randomized shapes: table size, key count, depth, and bits all move.
+fn property_prefetched_probe_agrees_with_reference() {
+    // Randomized shapes: table size, key count and depth all move.
     let gen = |rng: &mut Rng| {
         let entries = rng.gen_range(1..2000usize);
         let nkeys = rng.gen_range(0..1500usize);
         let f = rng.gen_range(0..70usize);
-        let bits = rng.gen_range(1..7u32);
         let keys = strategy::vec_of(strategy::in_range(0..6000u64), nkeys..nkeys + 1)(rng);
-        (entries, keys, f, bits)
+        (entries, keys, f)
     };
-    prop::check("probe memory strategies agree", gen, |(entries, keys, f, bits)| {
-        let (table, pairs) = build(*entries);
+    prop::check("prefetched probe agrees", gen, |(entries, keys, f)| {
+        let table = build(*entries);
         let expect = reference(&table, keys);
         let mut out = vec![0u64; keys.len()];
         let mut io =
             KernelIo::Probe { keys, table: &table, out: &mut out, prefetch: *f };
         assert!(run(Family::Probe, HybridConfig::new(2, 1, 2), &mut io));
         assert_eq!(out, expect, "prefetched f={f}");
-        let parts = PartitionedProbeTable::from_pairs(&pairs, *bits);
-        let mut scratch = PartitionScratch::default();
-        let mut out2 = vec![0u64; keys.len()];
-        parts.probe_with(keys, &mut out2, &mut scratch, |t, k, o| {
-            let mut io = KernelIo::Probe { keys: k, table: t, out: o, prefetch: *f };
-            assert!(run(Family::Probe, HybridConfig::new(2, 1, 2), &mut io));
-        });
-        assert_eq!(out2, expect, "partitioned b={bits} f={f}");
         Ok(())
     });
 }
@@ -127,20 +96,69 @@ fn engine_query_results_are_invariant_under_memory_knobs() {
         let baseline = execute_star(&plan, &data.lineorder, &ExecConfig::for_flavor(Flavor::Scalar));
         for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
             for f in [0usize, 8, 32] {
-                for partition in [false, true] {
-                    let mut cfg = ExecConfig::for_flavor(flavor).with_probe_prefetch(f);
-                    cfg.partition = partition;
-                    let out = execute_star(&plan, &data.lineorder, &cfg);
-                    assert_eq!(
-                        out.groups, baseline.groups,
-                        "{} {} f={f} partition={partition}",
-                        q.name(),
-                        flavor.name()
-                    );
-                }
+                let cfg = ExecConfig::for_flavor(flavor).with_probe_prefetch(f);
+                let out = execute_star(&plan, &data.lineorder, &cfg);
+                assert_eq!(out.groups, baseline.groups, "{} {} f={f}", q.name(), flavor.name());
             }
         }
     }
+}
+
+#[test]
+fn big_dimension_paged_probe_matches_in_memory_and_reference() {
+    // 200k dimension keys (several MiB of probe table, more than half of
+    // any L2) with 8 groups; a third of the fact keys miss.
+    let n_dim = 200_000u64;
+    let mut dim = Table::new("bigdim");
+    dim.add_column(Column::new("key", (0..n_dim).collect()));
+    dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
+    let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
+    let n = 200_000u64;
+    let mut fact = Table::new("fact");
+    fact.add_column(Column::new("fk", (0..n).map(|i| (i * 7919) % (n_dim * 3 / 2)).collect()));
+    fact.add_column(Column::new("rev", (0..n).map(|i| i % 13 + 1).collect()));
+    let plan = StarPlan {
+        name: "bigjoin".into(),
+        filters: vec![RangeFilter { col: "rev".into(), lo: 2, hi: 11 }],
+        dims: vec![d],
+        measure: Measure::Sum("rev".into()),
+        strides: vec![],
+    };
+
+    // Independent reference: the dimension's hits and groups are known in
+    // closed form, so no probe table is involved.
+    let mut expect = vec![0u64; 8];
+    for (&k, &rev) in fact.col("fk").iter().zip(fact.col("rev")) {
+        if (2..=11).contains(&rev) && k < n_dim {
+            expect[(k % 8) as usize] += rev;
+        }
+    }
+    let scalar = execute_star(&plan, &fact, &ExecConfig::scalar().with_threads(1));
+    assert_eq!(scalar.groups, expect, "scalar 1-thread reference");
+
+    let dir = std::env::temp_dir().join(format!("hef-big-dim-paged-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for col in fact.columns() {
+        save_paged_column(col, &dir.join(format!("{}.hefc", col.name())), 16_384).unwrap();
+    }
+    let paged = PagedTable::open_dir(&dir, "fact").unwrap();
+    assert!(paged.page_count() > 4, "every thread count must see several pages");
+    let cache = PageCache::new(1 << 20);
+    for flavor in Flavor::ALL {
+        for threads in [1usize, 2, 4] {
+            let cfg = ExecConfig::for_flavor(flavor).with_threads(threads).with_probe_prefetch(16);
+            let tag = format!("{} t{threads}", flavor.name());
+            let mem = execute_star(&plan, &fact, &cfg);
+            assert_eq!(mem.groups, expect, "in-memory {tag}");
+            let source = MorselSource::Paged { table: &paged, cache: &cache };
+            let (out, _) = hef::engine::run(&plan, source, &cfg, &CancelToken::new())
+                .expect("paged run");
+            assert_eq!(out.groups, expect, "paged {tag}");
+            assert_eq!(out.stats.probes, mem.stats.probes, "paged probes {tag}");
+            assert_eq!(out.stats.hits, mem.stats.hits, "paged hits {tag}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
